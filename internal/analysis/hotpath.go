@@ -190,6 +190,9 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, localSlices 
 	for i, arg := range call.Args {
 		var pt types.Type
 		switch {
+		case call.Ellipsis.IsValid() && i == len(call.Args)-1:
+			// f(xs...) passes the slice itself: nothing is boxed.
+			continue
 		case sig.Variadic() && i >= params.Len()-1:
 			if s, ok := types.Unalias(params.At(params.Len() - 1).Type()).Underlying().(*types.Slice); ok {
 				pt = s.Elem()

@@ -48,6 +48,18 @@ func badBox(k int) {
 	sink(k) // want "boxed into interface parameter"
 }
 
+func sinkAll(vs ...any) {}
+
+//fabric:hotpath
+func badBoxVariadic(k int) {
+	sinkAll(k) // want "boxed into interface parameter"
+}
+
+//fabric:hotpath
+func okSpread(vs []any) {
+	sinkAll(vs...) // the caller's slice is passed as is: no boxing
+}
+
 //fabric:hotpath
 func okBoxPtr(r *ring) {
 	sink(r) // pointers fit the interface word: no allocation

@@ -39,8 +39,9 @@ type Chassis struct {
 	proto Protocol
 
 	ports []*netsim.Port
-	trunk map[*netsim.Port]bool
-	nbr   map[*netsim.Port]uint64
+	// nbrs is indexed by Port.Index(), parallel to ports: what HELLOs
+	// taught us about each port's far side.
+	nbrs []neighbor
 
 	// HelloEnabled turns on neighbour discovery. ARP-Path bridges enable
 	// it; the STP and learning baselines do not need it.
@@ -49,6 +50,13 @@ type Chassis struct {
 	sched *sim.Proc
 	rng   *rand.Rand
 	stats ChassisStats
+}
+
+// neighbor is one port's HELLO-learned state. trunk is the presence flag:
+// bridge ID 0 is a legal identifier, so it cannot double as "unknown".
+type neighbor struct {
+	id    uint64
+	trunk bool
 }
 
 // ChassisStats counts chassis-level events.
@@ -67,8 +75,6 @@ func NewChassis(net *netsim.Network, name string, numID int, proto Protocol) *Ch
 		numID: numID,
 		mac:   layers.BridgeMAC(numID),
 		proto: proto,
-		trunk: make(map[*netsim.Port]bool),
-		nbr:   make(map[*netsim.Port]uint64),
 	}
 }
 
@@ -122,7 +128,10 @@ func (c *Chassis) Now() time.Duration { return c.Sched().Now() }
 func (c *Chassis) Stats() ChassisStats { return c.stats }
 
 // AttachPort implements netsim.Node.
-func (c *Chassis) AttachPort(p *netsim.Port) { c.ports = append(c.ports, p) }
+func (c *Chassis) AttachPort(p *netsim.Port) {
+	c.ports = append(c.ports, p)
+	c.nbrs = append(c.nbrs, neighbor{})
+}
 
 // Ports returns the bridge's ports in cabling order.
 func (c *Chassis) Ports() []*netsim.Port { return c.ports }
@@ -153,29 +162,32 @@ func (c *Chassis) Start() {
 // the protocol's job — see core.Bridge.Restart, which calls this before
 // bouncing its links.
 func (c *Chassis) Restart() {
-	clear(c.trunk)
-	clear(c.nbr)
+	clear(c.nbrs)
 }
 
 // IsTrunk reports whether p faces another bridge (a HELLO was seen since
 // the last down transition). Meaningless unless HelloEnabled.
-func (c *Chassis) IsTrunk(p *netsim.Port) bool { return c.trunk[p] }
+func (c *Chassis) IsTrunk(p *netsim.Port) bool { return c.nbrs[p.Index()].trunk }
 
 // IsEdge reports whether p faces a host.
-func (c *Chassis) IsEdge(p *netsim.Port) bool { return !c.trunk[p] }
+func (c *Chassis) IsEdge(p *netsim.Port) bool { return !c.IsTrunk(p) }
 
 // Neighbor returns the bridge ID learned from HELLOs on trunk port p.
 // Two ports with the same neighbor are parallel links to one bridge —
 // forwarding a frame "back" over a parallel link is still a hairpin.
+//
+//fabric:hotpath
 func (c *Chassis) Neighbor(p *netsim.Port) (uint64, bool) {
-	id, ok := c.nbr[p]
-	return id, ok
+	n := c.nbrs[p.Index()]
+	return n.id, n.trunk
 }
 
 // SameNeighbor reports whether two ports lead to the same neighbouring
 // bridge (the same port, or parallel trunks, which a port comparison
 // alone cannot see on multigraphs). Every protocol's hairpin rule goes
 // through this one definition.
+//
+//fabric:hotpath
 func (c *Chassis) SameNeighbor(p, q *netsim.Port) bool {
 	if p == q {
 		return true
@@ -193,8 +205,7 @@ func (c *Chassis) SameNeighbor(p, q *netsim.Port) bool {
 func (c *Chassis) HandleFrame(p *netsim.Port, f *netsim.Frame) {
 	if v := f.View(); v.IsHello() {
 		c.stats.HellosReceived++
-		c.trunk[p] = true
-		c.nbr[p] = v.Ctl.BridgeID
+		c.nbrs[p.Index()] = neighbor{id: v.Ctl.BridgeID, trunk: true}
 		return
 	}
 	c.proto.OnFrame(p, f)
@@ -204,8 +215,7 @@ func (c *Chassis) HandleFrame(p *netsim.Port, f *netsim.Frame) {
 func (c *Chassis) PortStatusChanged(p *netsim.Port, up bool) {
 	if !up {
 		// The neighbour may be replaced while the link is down; rediscover.
-		delete(c.trunk, p)
-		delete(c.nbr, p)
+		c.nbrs[p.Index()] = neighbor{}
 	} else if c.HelloEnabled {
 		c.sendHello(p)
 	}

@@ -61,18 +61,19 @@ func (e Entry) Guarded(now time.Duration) bool { return now < e.LockedUntil }
 
 // tableEntry is the stored form: the public Entry plus the generation of
 // its port at bind time. A port's generation advances on FlushPort, which
-// kills every entry bound to it in O(1) without touching the map. The
+// kills every entry bound to it in O(1) without touching the table. The
 // portState pointer is cached in the entry so the hot-path liveness check
-// costs a pointer chase, not a second map lookup.
+// costs a pointer chase, not a port-table search.
 type tableEntry struct {
 	Entry
 	gen uint32
-	ps  *portState
 	th  tables.Handle // recency-tracker handle; 0 when untracked
+	ps  *portState
 }
 
 // portState is the per-port side table backing constant-time flushes.
 type portState struct {
+	port *netsim.Port
 	gen  uint32 // current generation; entries with an older gen are dead
 	live int    // resident entries bound to this port at the current gen
 }
@@ -81,16 +82,19 @@ type portState struct {
 // expiry). It is the bridge's only forwarding state — there is no routing
 // protocol and no tree (§1).
 //
-// The table is keyed by the uint64-packed MAC (layers.MAC.Uint64): the
-// simulator decodes the packed keys once per frame into the FrameView, and
-// an 8-byte integer key hashes faster than a [6]byte array. Expiry is
-// lazy (checked on access) and link failures are handled by per-port
-// generation counters, so no operation on the hot path scans the table.
+// The table is a tables.Map keyed by the uint64-packed MAC
+// (layers.MAC.Uint64): the simulator decodes the packed keys once per
+// frame into the FrameView, and each operation probes the compact
+// open-addressing index once and rewrites the entry in place — the
+// software counterpart of the NetFPGA bridge's hardware hash table.
+// Expiry is lazy (checked on access) and link failures are handled by
+// per-port generation counters, so no operation on the hot path scans
+// the table.
 //
 // Production bounds (DESIGN.md §12): the table may be capacity-bounded
 // with an LRU or clock eviction policy (internal/tables). The bound counts
-// map entries — live bindings and flushed-generation corpses alike — so it
-// bounds actual memory, not just Len(). Corpses and expired entries are
+// stored entries — live bindings and flushed-generation corpses alike — so
+// it bounds actual memory, not just Len(). Corpses and expired entries are
 // additionally reclaimed by an amortized sweep (one full pass per learned
 // timeout, proxyCache-style) so even the unbounded configuration cannot
 // leak under churn.
@@ -99,19 +103,18 @@ type LockTable struct {
 	learnedTimeout time.Duration
 	capacity       int
 	tracker        *tables.Tracker[uint64] // nil for the timeout baseline
-	entries        map[uint64]tableEntry
-	ports          map[*netsim.Port]*portState
-	resident       int // entries in the map whose port generation is current
+	entries        *tables.Map[tableEntry]
+	ports          []*portState // a bridge has a handful of ports: scanned
+	resident       int          // stored entries whose port generation is current
 
 	evictions uint64        // capacity evictions of live entries (not corpse reclaim)
-	peak      int           // high-water mark of len(entries)
+	peak      int           // high-water mark of Entries()
 	nextSweep time.Duration // next amortized FlushExpired deadline
 
 	// One-slot cache for the port side table: a bridge stores runs of
 	// entries against the same handful of ports, so this turns the
-	// per-store ports-map lookup into a pointer compare.
-	lastPort *netsim.Port
-	lastPS   *portState
+	// per-store port search into a pointer compare.
+	lastPS *portState
 }
 
 // NewLockTable builds an empty unbounded table with the two ARP-Path
@@ -135,8 +138,7 @@ func NewBoundedLockTable(lockTimeout, learnedTimeout time.Duration, bound tables
 		lockTimeout:    lockTimeout,
 		learnedTimeout: learnedTimeout,
 		capacity:       bound.Capacity,
-		entries:        make(map[uint64]tableEntry),
-		ports:          make(map[*netsim.Port]*portState),
+		entries:        tables.NewMap[tableEntry](bound.Capacity),
 	}
 	if bound.Tracked() {
 		t.tracker = tables.NewTracker[uint64](bound.Policy)
@@ -145,26 +147,31 @@ func NewBoundedLockTable(lockTimeout, learnedTimeout time.Duration, bound tables
 }
 
 func (t *LockTable) port(p *netsim.Port) *portState {
-	if p == t.lastPort {
-		return t.lastPS
+	if st := t.lastPS; st != nil && st.port == p {
+		return st
 	}
-	st, ok := t.ports[p]
-	if !ok {
-		st = &portState{}
-		t.ports[p] = st
+	for _, st := range t.ports {
+		if st.port == p {
+			t.lastPS = st
+			return st
+		}
 	}
-	t.lastPort, t.lastPS = p, st
+	st := &portState{port: p}
+	t.ports = append(t.ports, st)
+	t.lastPS = st
 	return st
 }
 
 // dead reports whether a stored entry is no longer valid at now: past its
 // expiry, or bound to a port generation that has been flushed.
-func (t *LockTable) dead(e tableEntry, now time.Duration) bool {
+func (t *LockTable) dead(e *tableEntry, now time.Duration) bool {
 	return e.Expires <= now || e.gen != e.ps.gen
 }
 
-// evict removes a stored entry, maintaining the residency counters.
-func (t *LockTable) evict(key uint64, e tableEntry) {
+// evict removes the stored entry at dense index i, maintaining the
+// residency counters. Dense indices held by the caller are invalidated.
+func (t *LockTable) evict(i int32) {
+	e := t.entries.Val(i)
 	if e.gen == e.ps.gen {
 		e.ps.live--
 		t.resident--
@@ -172,13 +179,13 @@ func (t *LockTable) evict(key uint64, e tableEntry) {
 	if t.tracker != nil {
 		t.tracker.Remove(e.th)
 	}
-	delete(t.entries, key)
+	t.entries.Delete(i)
 }
 
 // maybeSweep runs the amortized corpse sweep: at most one full
 // FlushExpired per learned timeout, charged to the write that crossed the
 // deadline (proxyCache's discipline). Callers must invoke it before
-// snapshotting the previous entry — the sweep may evict the very key about
+// looking up the previous entry — the sweep may evict the very key about
 // to be overwritten.
 func (t *LockTable) maybeSweep(now time.Duration) {
 	if now >= t.nextSweep {
@@ -201,19 +208,19 @@ func (t *LockTable) makeRoom(now time.Duration) {
 	if t.tracker == nil || t.capacity <= 0 {
 		return
 	}
-	for rejects := tables.RejectBudget; len(t.entries) >= t.capacity; {
+	for rejects := tables.RejectBudget; t.entries.Len() >= t.capacity; {
 		h, ok := t.tracker.Victim()
 		if !ok {
 			return
 		}
-		key := t.tracker.Key(h)
-		e := t.entries[key]
+		i := t.entries.Find(t.tracker.Key(h))
+		e := t.entries.Val(i)
 		switch {
 		case t.dead(e, now):
-			t.evict(key, e)
+			t.evict(i)
 		case !e.Guarded(now):
 			t.evictions++
-			t.evict(key, e)
+			t.evict(i)
 		default:
 			t.tracker.Reject(h)
 			if rejects--; rejects <= 0 {
@@ -223,46 +230,63 @@ func (t *LockTable) makeRoom(now time.Duration) {
 	}
 }
 
-// store writes e under key given the previous entry (old, hadOld) from a
-// lookup the caller already paid for, maintaining the residency counters,
-// the recency tracker and the capacity bound.
-func (t *LockTable) store(key uint64, old tableEntry, hadOld bool, e Entry, now time.Duration) {
-	if hadOld && old.gen == old.ps.gen {
-		old.ps.live--
-		t.resident--
-	}
-	if !hadOld && t.capacity > 0 && len(t.entries) >= t.capacity {
+// store writes e under key. i is key's dense index from a lookup the
+// caller already paid for (0 when absent): an existing entry is rewritten
+// in place, a new one is inserted after the capacity bound made room.
+// Residency counters, the recency tracker and the peak are maintained.
+func (t *LockTable) store(key uint64, i int32, e Entry, now time.Duration) {
+	if i == 0 && t.capacity > 0 && t.entries.Len() >= t.capacity {
 		t.makeRoom(now)
 	}
 	st := t.port(e.Port)
 	st.live++
 	t.resident++
 	ne := tableEntry{Entry: e, gen: st.gen, ps: st}
-	if t.tracker != nil {
-		if hadOld {
-			ne.th = old.th
-			t.tracker.Touch(ne.th)
-		} else {
-			ne.th = t.tracker.Insert(key)
+	if i != 0 {
+		p := t.entries.Val(i)
+		if p.gen == p.ps.gen {
+			p.ps.live--
+			t.resident--
 		}
+		ne.th = p.th
+		if t.tracker != nil {
+			t.tracker.Touch(ne.th)
+		}
+		*p = ne
+		return
 	}
-	t.entries[key] = ne
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
+	if t.tracker != nil {
+		ne.th = t.tracker.Insert(key)
 	}
+	t.entries.Insert(key, ne)
+	if n := t.entries.Len(); n > t.peak {
+		t.peak = n
+	}
+}
+
+// live returns the dense index of key's live entry, or 0 when there is
+// none; a dead entry found on the way is evicted lazily.
+//
+//fabric:hotpath
+func (t *LockTable) live(key uint64, now time.Duration) int32 {
+	i := t.entries.Find(key)
+	if i != 0 && t.dead(t.entries.Val(i), now) {
+		t.evict(i)
+		return 0
+	}
+	return i
 }
 
 // GetKey returns the live entry for a packed key, evicting it lazily if
 // expired or flushed.
+//
+//fabric:hotpath
 func (t *LockTable) GetKey(key uint64, now time.Duration) (Entry, bool) {
-	e, ok := t.entries[key]
-	if !ok {
+	i := t.live(key, now)
+	if i == 0 {
 		return Entry{}, false
 	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return Entry{}, false
-	}
+	e := t.entries.Val(i)
 	if t.tracker != nil {
 		t.tracker.Touch(e.th)
 	}
@@ -281,8 +305,7 @@ func (t *LockTable) LockKey(key uint64, port *netsim.Port, now time.Duration) {
 		return
 	}
 	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
-	t.store(key, old, hadOld, Entry{
+	t.store(key, t.entries.Find(key), Entry{
 		Port:        port,
 		State:       StateLocked,
 		Expires:     now + t.lockTimeout,
@@ -299,17 +322,21 @@ func (t *LockTable) Lock(mac layers.MAC, port *netsim.Port, now time.Duration) {
 // LearnKey binds a packed key to port in the learned state (path
 // confirmed). A confirmation on the entry's existing port preserves the
 // remaining race window so late flood copies stay filtered.
+//
+//fabric:hotpath
 func (t *LockTable) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
 	if layers.KeyIsMulticast(key) || key == 0 {
 		return
 	}
 	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
+	i := t.entries.Find(key)
 	lockedUntil := time.Duration(0)
-	if hadOld && old.Port == port && !t.dead(old, now) {
-		lockedUntil = old.LockedUntil
+	if i != 0 {
+		if old := t.entries.Val(i); old.Port == port && !t.dead(old, now) {
+			lockedUntil = old.LockedUntil
+		}
 	}
-	t.store(key, old, hadOld, Entry{
+	t.store(key, i, Entry{
 		Port:        port,
 		State:       StateLearned,
 		Expires:     now + t.learnedTimeout,
@@ -329,16 +356,13 @@ func (t *LockTable) Learn(mac layers.MAC, port *netsim.Port, now time.Duration) 
 // filtered exactly as for a host-sent request, but the bridge must not
 // forget its own attached host if the repair goes unanswered.
 func (t *LockTable) GuardKey(key uint64, now time.Duration) {
-	e, ok := t.entries[key]
-	if !ok {
-		return
-	}
-	if t.dead(e, now) {
-		t.evict(key, e)
+	i := t.live(key, now)
+	if i == 0 {
 		return
 	}
 	// The port does not move, so the residency counters are unchanged and
-	// the entry can be rewritten in place.
+	// the entry is rewritten in place.
+	e := t.entries.Val(i)
 	e.LockedUntil = now + t.lockTimeout
 	if e.Expires < e.LockedUntil {
 		e.Expires = e.LockedUntil
@@ -346,7 +370,6 @@ func (t *LockTable) GuardKey(key uint64, now time.Duration) {
 	if t.tracker != nil {
 		t.tracker.Touch(e.th)
 	}
-	t.entries[key] = e
 }
 
 // Guard re-arms the race window on mac's current binding.
@@ -356,15 +379,15 @@ func (t *LockTable) Guard(mac layers.MAC, now time.Duration) {
 
 // RefreshKey extends the current entry's lifetime without changing its
 // state or port. Refreshing a missing or expired entry is a no-op.
+//
+//fabric:hotpath
 func (t *LockTable) RefreshKey(key uint64, now time.Duration) {
-	e, ok := t.entries[key]
-	if !ok {
+	i := t.live(key, now)
+	if i == 0 {
 		return
 	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return
-	}
+	// Same port, same generation: rewrite in place, counters unchanged.
+	e := t.entries.Val(i)
 	switch e.State {
 	case StateLocked:
 		e.Expires = now + t.lockTimeout
@@ -374,8 +397,6 @@ func (t *LockTable) RefreshKey(key uint64, now time.Duration) {
 	if t.tracker != nil {
 		t.tracker.Touch(e.th)
 	}
-	// Same port, same generation: rewrite in place, counters unchanged.
-	t.entries[key] = e
 }
 
 // Refresh extends the current entry's lifetime without changing its state
@@ -387,8 +408,8 @@ func (t *LockTable) Refresh(mac layers.MAC, now time.Duration) {
 // DeleteKey removes a packed key's entry (stale-path teardown during
 // repair).
 func (t *LockTable) DeleteKey(key uint64) {
-	if e, ok := t.entries[key]; ok {
-		t.evict(key, e)
+	if i := t.entries.Find(key); i != 0 {
+		t.evict(i)
 	}
 }
 
@@ -396,8 +417,8 @@ func (t *LockTable) DeleteKey(key uint64) {
 func (t *LockTable) Delete(mac layers.MAC) { t.DeleteKey(mac.Uint64()) }
 
 // FlushPort invalidates every entry bound to port (link failure) in O(1)
-// by advancing the port's generation; the map corpses are reclaimed
-// lazily on access or by FlushExpired. It returns the number of entries
+// by advancing the port's generation; the corpses are reclaimed lazily on
+// access or by FlushExpired. It returns the number of entries
 // invalidated.
 func (t *LockTable) FlushPort(port *netsim.Port) int {
 	st := t.port(port)
@@ -412,10 +433,11 @@ func (t *LockTable) FlushPort(port *netsim.Port) int {
 // ones that have not been touched since their deadline.
 func (t *LockTable) Len() int { return t.resident }
 
-// Entries returns the number of map entries including flushed-generation
-// corpses awaiting reclamation: the table's actual memory footprint, the
-// quantity the capacity bound and the leak regression tests are about.
-func (t *LockTable) Entries() int { return len(t.entries) }
+// Entries returns the number of stored entries including
+// flushed-generation corpses awaiting reclamation: the table's actual
+// memory footprint, the quantity the capacity bound and the leak
+// regression tests are about.
+func (t *LockTable) Entries() int { return t.entries.Len() }
 
 // PortStates returns the number of per-port side-table records, live and
 // idle. Idle records are reclaimed by FlushExpired.
@@ -434,11 +456,11 @@ func (t *LockTable) PeakEntries() int { return t.peak }
 // not a link event — use FlushPort for those. Lifetime statistics
 // (evictions, peak occupancy) survive.
 func (t *LockTable) Reset() {
-	clear(t.entries)
+	t.entries.Reset()
 	clear(t.ports)
+	t.ports = t.ports[:0]
 	t.resident = 0
 	t.nextSweep = 0
-	t.lastPort = nil
 	t.lastPS = nil
 	if t.tracker != nil {
 		t.tracker.Reset()
@@ -452,29 +474,31 @@ func (t *LockTable) Reset() {
 // amortized sweep does, bounding memory for long-lived tables, and
 // experiments call it for exact counts.
 func (t *LockTable) FlushExpired(now time.Duration) {
-	for key, e := range t.entries {
-		if t.dead(e, now) {
-			t.evict(key, e)
+	// Backwards, so each delete's swap-in comes from the visited tail.
+	for i := int32(t.entries.Len()); i > 0; i-- {
+		if t.dead(t.entries.Val(i), now) {
+			t.evict(i)
 		}
 	}
-	for p, st := range t.ports {
-		if st.live == 0 {
-			if t.lastPort == p {
-				t.lastPort = nil
-				t.lastPS = nil
-			}
-			delete(t.ports, p)
+	kept := t.ports[:0]
+	for _, st := range t.ports {
+		if st.live > 0 {
+			kept = append(kept, st)
+		} else if t.lastPS == st {
+			t.lastPS = nil
 		}
 	}
+	clear(t.ports[len(kept):])
+	t.ports = kept
 }
 
 // Snapshot returns a copy of the live entries; used by experiments to
 // reconstruct the path a flow has locked (Figure 1's bubbles).
 func (t *LockTable) Snapshot(now time.Duration) map[layers.MAC]Entry {
-	out := make(map[layers.MAC]Entry, len(t.entries))
-	for key, e := range t.entries {
-		if !t.dead(e, now) {
-			out[layers.MACFromUint64(key)] = e.Entry
+	out := make(map[layers.MAC]Entry, t.entries.Len())
+	for i := int32(1); i <= int32(t.entries.Len()); i++ {
+		if e := t.entries.Val(i); !t.dead(e, now) {
+			out[layers.MACFromUint64(t.entries.Key(i))] = e.Entry
 		}
 	}
 	return out

@@ -71,7 +71,7 @@ func TestEvictionNeverTouchesGuardedEntries(t *testing.T) {
 							delete(lockedAt, k) // window closed
 							continue
 						}
-						if _, ok := tb.entries[k]; !ok {
+						if tb.entries.Find(k) == 0 {
 							t.Fatalf("op %d (%s): key %x evicted inside its race window (locked at %v, now %v)",
 								i, policy, k, at, now)
 						}
@@ -114,7 +114,7 @@ func TestLockTablePortStateReclaim(t *testing.T) {
 	if got := tb.PortStates(); got != 0 {
 		t.Fatalf("PortStates = %d after 100 flaps and a sweep, want 0", got)
 	}
-	if tb.lastPS != nil || tb.lastPort != nil {
+	if tb.lastPS != nil {
 		t.Fatal("one-slot port cache still points at a reclaimed record")
 	}
 	tb.Learn(layers.HostMAC(201), ports[0], 3*time.Second)

@@ -48,13 +48,17 @@ func StartFlow(h *host.Host, cfg FlowConfig, done func(FlowResult)) {
 	}
 	sock := h.UDP(cfg.SrcPort, nil)
 	payload := make([]byte, cfg.PayloadSize)
+	sched := h.Sched()
 	sent := 0
 	var tick func()
 	tick = func() {
 		sock.SendTo(cfg.DstIP, cfg.DstPort, payload)
 		sent++
 		if sent < cfg.Count {
-			h.After(cfg.Interval, tick)
+			// The flow never cancels a tick, so the pooled handle-free
+			// event is enough; it consumes the same per-host sequence
+			// number a Timer would, keeping event keys unchanged.
+			sched.Schedule(sched.Now()+cfg.Interval, tick)
 			return
 		}
 		if done != nil {

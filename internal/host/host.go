@@ -43,19 +43,23 @@ type Host struct {
 	ports []*netsim.Port
 
 	proc  *sim.Proc
-	rng   *rand.Rand
+	num   int
+	rng   *rand.Rand // see rand
 	arp   *arpCache
 	icmp  *icmpEndpoint
 	udp   map[uint16]*UDPSocket
 	tcp   *tcpHost
 	stats Stats
 
-	// Reusable transmit scratch for the cached-resolution fast path of
-	// sendIP. Safe to share across sends: serialization is synchronous and
-	// Port.Send copies the bytes into a pooled frame before returning.
+	// Reusable transmit scratch for sendResolved, and the UDP layers
+	// UDPSocket.SendTo fills in. Safe to share across sends: serialization
+	// is synchronous and Port.Send copies the bytes into a pooled frame
+	// before returning.
 	txBuf *layers.SerializeBuffer
 	txEth layers.Ethernet
 	txIP  layers.IPv4
+	txUDP layers.UDP
+	txPay layers.Payload
 	txLs  [6]layers.SerializableLayer
 }
 
@@ -74,11 +78,20 @@ func New(net *netsim.Network, name string, n int) *Host {
 	h.tcp = newTCPHost(h)
 	net.AddNode(h)
 	h.proc = net.Proc(name)
-	// The host's own random stream (TCP ISNs): a function of the network
-	// seed and the host number, never of event interleaving, so draws are
-	// identical at any shard count.
-	h.rng = rand.New(rand.NewSource(net.Seed() ^ (int64(n)+1)*0x2545F4914F6CDD1D))
+	h.num = n
 	return h
+}
+
+// rand returns the host's own random stream (TCP ISNs): a function of the
+// network seed and the host number, never of event interleaving, so draws
+// are identical at any shard count. It is created on first use — seeding
+// costs more than building the rest of the host, and most hosts never
+// open a TCP connection.
+func (h *Host) rand() *rand.Rand {
+	if h.rng == nil {
+		h.rng = rand.New(rand.NewSource(h.net.Seed() ^ (int64(h.num)+1)*0x2545F4914F6CDD1D))
+	}
+	return h.rng
 }
 
 // Name implements netsim.Node.
@@ -198,38 +211,46 @@ func (h *Host) handleIPv4(eth *layers.Ethernet) {
 // IPv4 header. Packets are queued while resolution is in flight.
 //
 // The cached-binding case — every packet of an established conversation —
-// serializes into the host's reusable scratch instead of allocating a
-// resolution closure, a layer slice and a fresh buffer per packet. The
-// miss path keeps the allocating closure: its captures must survive until
-// the ARP exchange completes.
+// goes straight to sendResolved. On a miss the transport layers are
+// serialized now and only their bytes wait for the ARP exchange: the
+// layers may alias memory the caller does not own past this call (an echo
+// reply's payload is a view of the borrowed request frame, which is back
+// in the frame pool by the time the reply can leave).
 func (h *Host) sendIP(dst layers.Addr4, proto uint8, transport ...layers.SerializableLayer) {
 	if mac, ok := h.arp.lookup(dst); ok {
-		h.txEth = layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4}
-		h.txIP = layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst}
-		ls := append(h.txLs[:0], &h.txEth, &h.txIP)
-		ls = append(ls, transport...)
-		if err := layers.SerializeLayers(h.txBuf, layers.FixAll, ls...); err != nil {
-			panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
-		}
-		h.stats.IPTx++
-		h.send(h.txBuf.Bytes())
+		h.sendResolved(mac, dst, proto, transport...)
 		return
+	}
+	seg, err := layers.Serialize(transport...)
+	if err != nil {
+		panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
 	}
 	h.arp.resolve(dst, func(mac layers.MAC, err error) {
 		if err != nil {
 			return // resolution failed; transports retransmit on their own
 		}
-		ls := make([]layers.SerializableLayer, 0, 2+len(transport))
-		ls = append(ls,
-			&layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4},
-			&layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst},
-		)
-		ls = append(ls, transport...)
-		frame, err := layers.Serialize(ls...)
-		if err != nil {
-			panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
-		}
-		h.stats.IPTx++
-		h.send(frame)
+		pl := layers.Payload(seg)
+		h.sendResolved(mac, dst, proto, &pl)
 	})
+}
+
+// sendResolved frames the transport layers for a resolved next hop and
+// transmits them. It serializes into the host's reusable scratch and
+// retains nothing, so neither the layers nor the variadic slice escape:
+// a send with host-owned layers allocates nothing.
+//
+//fabric:hotpath
+func (h *Host) sendResolved(mac layers.MAC, dst layers.Addr4, proto uint8, transport ...layers.SerializableLayer) {
+	h.txEth = layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4}
+	h.txIP = layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst}
+	ls := h.txLs[:2+len(transport)]
+	ls[0], ls[1] = &h.txEth, &h.txIP
+	copy(ls[2:], transport)
+	err := layers.SerializeLayers(h.txBuf, layers.FixAll, ls...)
+	clear(ls[2:]) // drop references to the caller's layers
+	if err != nil {
+		panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
+	}
+	h.stats.IPTx++
+	h.send(h.txBuf.Bytes())
 }

@@ -60,13 +60,18 @@ func (s *UDPSocket) Received() uint64 { return s.rx }
 // Sent returns the number of datagrams transmitted.
 func (s *UDPSocket) Sent() uint64 { return s.tx }
 
-// SendTo transmits payload to dst:dstPort.
+// SendTo transmits payload to dst:dstPort. The layers are built in the
+// host's scratch, so a send over a cached ARP binding allocates nothing;
+// payload is not retained.
+//
+//fabric:hotpath
 func (s *UDPSocket) SendTo(dst layers.Addr4, dstPort uint16, payload []byte) {
 	s.tx++
-	s.h.sendIP(dst, layers.IPProtoUDP,
-		&layers.UDP{SrcPort: s.port, DstPort: dstPort, SrcIP: s.h.ip, DstIP: dst},
-		layers.Payload(payload),
-	)
+	h := s.h
+	h.txUDP = layers.UDP{SrcPort: s.port, DstPort: dstPort, SrcIP: h.ip, DstIP: dst}
+	h.txPay = payload
+	h.sendIP(dst, layers.IPProtoUDP, &h.txUDP, &h.txPay)
+	h.txPay = nil
 }
 
 // handleUDP dispatches a received UDP datagram to its socket.

@@ -1,8 +1,9 @@
-// Package tables provides the shared bounding machinery for the fabric's
+// Package tables provides the shared machinery for the fabric's
 // forwarding tables (core.LockTable, flowpath.PairTable, learning.Table):
 // an eviction policy enum, a capacity/policy Config carried through the
-// protocol codecs, and a deterministic recency Tracker implementing LRU
-// and clock (second-chance) victim selection.
+// protocol codecs, a deterministic recency Tracker implementing LRU and
+// clock (second-chance) victim selection, and Map, the compact
+// open-addressing uint64-keyed store behind core.LockTable.
 //
 // Determinism contract: victim order is a pure function of the sequence of
 // Insert/Touch/Remove/Reject calls — never of Go map iteration order, the

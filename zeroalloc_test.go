@@ -4,8 +4,10 @@ package repro
 // forwarding a unicast frame across the fabric must not allocate — not
 // in the engine (pooled events), not in the links (pooled frames and
 // flights), not in the bridges (packed-key table ops on a pre-decoded
-// view). The benchmarks report the same property; this test enforces it
-// on every CI run without -bench.
+// view) — and neither must the hosts at either end: a UDP send over a
+// cached ARP binding, its delivery to a borrowing socket, and an
+// application flow's next tick. The benchmarks report the same property;
+// this test enforces it on every CI run without -bench.
 
 import (
 	"runtime"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flowpath"
 	hostpkg "repro/internal/host"
+	"repro/internal/host/app"
 	"repro/internal/learning"
 	"repro/internal/netsim"
 	"repro/internal/tables"
@@ -54,6 +57,59 @@ func TestSteadyStateForwardingDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHostTransmitDoesNotAllocate starts the gate where traffic starts:
+// at the sending host's stack instead of a pre-built frame. Over a warm
+// ARP cache, UDPSocket.SendTo → bridges → app.Sink, and one app.StartFlow
+// tick (send plus reschedule), must each run allocation-free.
+func TestHostTransmitDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
+	}
+	const runs = 500
+	t.Run("UDPSendTo", func(t *testing.T) {
+		built, _ := establishedLine(t, 4)
+		h1, h2 := built.Host("H1"), built.Host("H2")
+		sink := app.NewSink(h2, 9000)
+		sock := h1.UDP(9001, nil)
+		payload := make([]byte, 18)
+		send := func() {
+			sock.SendTo(h2.IP(), 9000, payload)
+			built.Net.Network.Run()
+		}
+		for i := 0; i < 200; i++ {
+			send()
+		}
+		n0 := sink.Count()
+		if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+			t.Fatalf("UDP send over a warm ARP cache allocates %.2f/op, want 0", allocs)
+		}
+		if got := sink.Count() - n0; got != runs+1 {
+			t.Fatalf("sink received %d datagrams, want %d", got, runs+1)
+		}
+	})
+	t.Run("StartFlowTick", func(t *testing.T) {
+		built, _ := establishedLine(t, 4)
+		h1, h2 := built.Host("H1"), built.Host("H2")
+		sink := app.NewSink(h2, 9000)
+		const interval = time.Millisecond
+		app.StartFlow(h1, app.FlowConfig{
+			DstIP: h2.IP(), DstPort: 9000, SrcPort: 9001,
+			PayloadSize: 18, Interval: interval, Count: 1 << 20,
+		}, nil)
+		tick := func() { built.RunFor(interval) }
+		for i := 0; i < 200; i++ {
+			tick()
+		}
+		n0 := sink.Count()
+		if allocs := testing.AllocsPerRun(runs, tick); allocs != 0 {
+			t.Fatalf("one StartFlow tick allocates %.2f/op, want 0", allocs)
+		}
+		if got := sink.Count() - n0; got != runs+1 {
+			t.Fatalf("sink received %d datagrams, want %d", got, runs+1)
+		}
+	})
 }
 
 // TestBoundedTableChurnDoesNotAllocate extends the gate to the bounded
