@@ -8,7 +8,7 @@ import (
 
 // HotPathAnalyzer guards the zero-allocation dataplane (DESIGN.md §3,
 // §11). Functions annotated with a `//fabric:hotpath` doc-comment line
-// — the batched window drain, frame forwarding, the timer wheel and the
+// — the event drain loop, frame forwarding, the timer wheel and the
 // outbox exchange, i.e. exactly the paths the AllocsPerRun gates
 // measure — are checked for the allocation constructs that most often
 // sneak past review:

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -65,30 +64,23 @@ func TestScaleDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestScaleBatchedUnbatchedFuzz is the workload-level differential gate
-// for the batched hot path: across a seed sweep, the full scale workload
-// (synchronized CBR flows — the worst case for same-timestamp key
-// windows) must produce byte-identical fingerprints on the unbatched
-// reference engine, the batched single engine, and the batched sharded
-// fabric.
-func TestScaleBatchedUnbatchedFuzz(t *testing.T) {
+// TestScaleShardsSeedSweep widens the shard determinism gate across a
+// seed sweep of the full scale workload (synchronized CBR flows — the
+// worst case for same-timestamp key ties): shards=4 must reproduce the
+// single-engine fingerprint, trace-event, delivered and event counts
+// exactly.
+func TestScaleShardsSeedSweep(t *testing.T) {
 	for seed := int64(11); seed <= 15; seed++ {
-		prev := sim.SetDefaultBatched(false)
 		ref := RunScale(smallScale(seed, 1))
-		sim.SetDefaultBatched(true)
-		batched1 := RunScale(smallScale(seed, 1))
-		batched4 := RunScale(smallScale(seed, 4))
-		sim.SetDefaultBatched(prev)
 		if ref.Delivered == 0 || ref.TraceEvents == 0 {
-			t.Fatalf("seed %d: degenerate reference run: %+v", seed, ref)
+			t.Fatalf("seed %d: degenerate single-engine run: %+v", seed, ref)
 		}
-		for name, r := range map[string]*ScaleResult{"batched/1": batched1, "batched/4": batched4} {
-			if r.Fingerprint != ref.Fingerprint || r.TraceEvents != ref.TraceEvents ||
-				r.Delivered != ref.Delivered || r.Events != ref.Events {
-				t.Fatalf("seed %d: %s diverged from unbatched reference: fp=%#x/%d delivered=%d events=%d, want fp=%#x/%d delivered=%d events=%d",
-					seed, name, r.Fingerprint, r.TraceEvents, r.Delivered, r.Events,
-					ref.Fingerprint, ref.TraceEvents, ref.Delivered, ref.Events)
-			}
+		r := RunScale(smallScale(seed, 4))
+		if r.Fingerprint != ref.Fingerprint || r.TraceEvents != ref.TraceEvents ||
+			r.Delivered != ref.Delivered || r.Events != ref.Events {
+			t.Fatalf("seed %d: shards=4 diverged from shards=1: fp=%#x/%d delivered=%d events=%d, want fp=%#x/%d delivered=%d events=%d",
+				seed, r.Fingerprint, r.TraceEvents, r.Delivered, r.Events,
+				ref.Fingerprint, ref.TraceEvents, ref.Delivered, ref.Events)
 		}
 	}
 }

@@ -28,14 +28,11 @@
 // maintenance touch only the contiguous entry slice — no pointer chasing,
 // no interface dispatch, no GC write barriers on sift swaps — and
 // cancellation is a generation bump, with stale entries skipped lazily
-// when the queue reaches them. On top of that sits batched window-drain
-// execution (Run/RunUntil/RunWindowKey): the heap's front window is popped
-// into a reusable run buffer and dispatched as a batch, with events
-// scheduled *during* the batch that fall inside the window going to a
-// small insertion-sorted spill buffer instead of the heap. Execution
-// always takes the minimum pending key across run buffer, spill buffer
-// and heap, so the order is exactly the classic one-pop-per-event order —
-// the batching is invisible everywhere except the wall clock.
+// when the queue reaches them. Run, RunUntil and RunWindowKey share one
+// event loop: pop the heap head while its key sorts below the caller's
+// bound, skip it if stale, execute it. The heap is the only place a
+// pending event lives, so that loop's order is the (time, owner, oseq)
+// order by construction.
 package sim
 
 import (
@@ -50,35 +47,6 @@ import (
 // example a bridge that floods its own flood); well-formed simulations stay
 // far below it. Use SetEventLimit to raise it for very long runs.
 const DefaultEventLimit = 50_000_000
-
-// Batch geometry. maxBatch is how many heap-front events one refill moves
-// into the run buffer: big enough to amortize the per-batch bookkeeping,
-// small enough that the window (bounded by the next heap key after the
-// refill) stays short and the spill buffer stays cache-resident. maxSpill
-// caps the *pending* spill tail; events past it fall back to the heap,
-// which the dispatch merge also consumes, so overflow affects cost, never
-// order.
-const (
-	maxBatch = 128
-	maxSpill = 512
-)
-
-// defaultBatched is the execution mode New hands to fresh engines. The
-// differential determinism tests flip it to force entire fabrics (shard
-// engines included) onto the unbatched reference path; see
-// SetDefaultBatched.
-var defaultBatched = true
-
-// SetDefaultBatched sets whether engines created by New use batched
-// window-drain execution (the default) or the unbatched one-pop-per-event
-// reference path. It exists for differential testing — run a workload both
-// ways, require byte-identical traces — and must not be called while
-// engines are running. Returns the previous value.
-func SetDefaultBatched(on bool) bool {
-	prev := defaultBatched
-	defaultBatched = on
-	return prev
-}
 
 // Timer is a handle to a scheduled event. The zero value is not a valid
 // Timer; handles are produced by Engine.At and Engine.After.
@@ -147,8 +115,7 @@ type event struct {
 	nextFree int32
 }
 
-// entry is one pending event in the queue, run buffer or spill buffer:
-// the full ordering key inline plus the generation-guarded arena
+// entry is one pending event in the queue: the full ordering key inline plus the generation-guarded arena
 // reference. Entries are 32 pointer-free bytes, so sift swaps are plain
 // memory moves with no GC write barrier and key comparisons stay inside
 // the contiguous slice.
@@ -168,18 +135,6 @@ func entryLess(a, b *entry) bool {
 		return a.owner < b.owner
 	}
 	return a.oseq < b.oseq
-}
-
-// keyBelow reports whether (at, owner, oseq) sorts strictly before the
-// bound key.
-func keyBelow(at time.Duration, owner, oseq uint64, bAt time.Duration, bOwner, bOseq uint64) bool {
-	if at != bAt {
-		return at < bAt
-	}
-	if owner != bOwner {
-		return owner < bOwner
-	}
-	return oseq < bOseq
 }
 
 // eventHeap is a binary min-heap of entries with the comparison inlined —
@@ -329,21 +284,7 @@ type Engine struct {
 	seed      int64
 	processed uint64
 	limit     uint64
-	id        int  // shard index (0 when unsharded)
-	unbatched bool // force the one-pop-per-event reference path
-
-	// Batched window-drain state (see drain). run is the heap's popped
-	// front window, spill collects events scheduled during the batch that
-	// fall inside it; both are consumed by index and reused across
-	// batches. While inBatch is set, bound{At,Owner,Seq} is the window's
-	// exclusive key bound, and enqueues below it route to the spill.
-	run                  []entry
-	runPos               int
-	spill                []entry
-	spillPos             int
-	inBatch              bool
-	boundAt              time.Duration
-	boundOwner, boundSeq uint64
+	id        int // shard index (0 when unsharded)
 
 	// Key of the event currently executing — the causal stamp the tap
 	// buffering layer records so per-shard tap streams can be merged into
@@ -356,11 +297,10 @@ type Engine struct {
 // built with the same seed and fed the same schedule produce identical runs.
 func New(seed int64) *Engine {
 	e := &Engine{
-		rng:       rand.New(rand.NewSource(seed)),
-		seed:      seed,
-		limit:     DefaultEventLimit,
-		freeHead:  -1,
-		unbatched: !defaultBatched,
+		rng:      rand.New(rand.NewSource(seed)),
+		seed:     seed,
+		limit:    DefaultEventLimit,
+		freeHead: -1,
 	}
 	e.root = Proc{eng: e}
 	return e
@@ -391,23 +331,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still queued (including canceled
-// events that have not yet been discarded). During batched execution,
-// events pending in the run and spill buffers count exactly like events
-// still in the heap — a handler that schedules work observes it here
-// wherever the engine happens to have staged it.
-func (e *Engine) Pending() int {
-	return len(e.queue) + (len(e.run) - e.runPos) + (len(e.spill) - e.spillPos)
-}
-
-// Batched reports whether the engine uses batched window-drain execution.
-func (e *Engine) Batched() bool { return !e.unbatched }
-
-// SetBatched selects between batched window-drain execution (the default)
-// and the unbatched one-pop-per-event reference path. Both produce the
-// identical execution order; the differential determinism tests run
-// workloads both ways and require byte-identical traces. Call between
-// runs, not from inside an event.
-func (e *Engine) SetBatched(on bool) { e.unbatched = !on }
+// events that have not yet been discarded).
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // SetEventLimit replaces the runaway-loop backstop. n must be positive.
 func (e *Engine) SetEventLimit(n uint64) {
@@ -459,30 +384,6 @@ func (e *Engine) release(idx int32) {
 	e.freeHead = idx
 }
 
-// enqueue routes a new entry to the pending structure that owns its key.
-// The spill buffer takes it when a batch is executing, the key falls
-// inside the current window, and it extends the spill's sorted tail —
-// handlers overwhelmingly schedule in increasing key order (a fixed delta
-// ahead of a non-decreasing now), so this append-only fast path catches
-// nearly everything and costs O(1). Anything else — no batch running, key
-// beyond the window, or out of order against the spill tail — goes to the
-// heap, which the batch dispatch also merges from, so routing is a cost
-// decision, never a correctness one. (An earlier draft binary-inserted
-// out-of-order keys into the spill; same-timestamp bursts with shuffled
-// owner ids turned that into quadratic memmove traffic.)
-//
-//fabric:hotpath
-func (e *Engine) enqueue(en entry) {
-	if e.inBatch && keyBelow(en.at, en.owner, en.oseq, e.boundAt, e.boundOwner, e.boundSeq) {
-		if n := len(e.spill); n-e.spillPos < maxSpill &&
-			(n == e.spillPos || !entryLess(&en, &e.spill[n-1])) {
-			e.spill = append(e.spill, en)
-			return
-		}
-	}
-	e.queue.push(en)
-}
-
 // at is the common keyed scheduling path behind Proc.At and Engine.At.
 func (e *Engine) at(t time.Duration, owner, oseq uint64, fn func()) *Timer {
 	if t < e.now {
@@ -494,7 +395,7 @@ func (e *Engine) at(t time.Duration, owner, oseq uint64, fn func()) *Timer {
 	idx := e.alloc()
 	a := &e.arena[idx]
 	a.fn = fn
-	e.enqueue(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.queue.push(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
 	return &Timer{eng: e, at: t, idx: idx + 1, gen: a.gen}
 }
 
@@ -508,7 +409,7 @@ func (e *Engine) scheduleFunc(t time.Duration, owner, oseq uint64, fn func()) {
 	idx := e.alloc()
 	a := &e.arena[idx]
 	a.fn = fn
-	e.enqueue(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.queue.push(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
 }
 
 // scheduleRunner is scheduleFunc for Runner events: fully allocation-free.
@@ -522,7 +423,7 @@ func (e *Engine) scheduleRunner(t time.Duration, owner, oseq uint64, r Runner, a
 	a := &e.arena[idx]
 	a.runner = r
 	a.rarg = arg
-	e.enqueue(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.queue.push(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
 }
 
 // Schedule runs fn at absolute virtual time t like At, but returns no
@@ -598,7 +499,9 @@ func (e *Engine) execute(en *entry, a *event) {
 }
 
 // Step executes the next pending event, if any, and reports whether one ran.
-// Canceled events are discarded without counting as a step.
+// Canceled events are discarded without counting as a step. The sharded
+// coordinator uses it to execute one barrier event at a time; everything
+// else runs through drain.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
 		en := e.queue.popMin()
@@ -612,119 +515,39 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// drain executes every pending event whose key sorts strictly before
-// (boundAt, boundOwner, boundSeq), in exact (time, owner, oseq) order, and
-// returns how many ran. It panics when the total processed count would
-// exceed stopAt (the hoisted event-limit check: one predictable branch per
-// event against a precomputed register value, instead of the old
-// per-iteration limit arithmetic).
-//
-// Mechanics: the heap's front window — up to maxBatch entries below the
-// caller bound — is popped into the run buffer; the window's own exclusive
-// bound is the smaller of the caller bound and the next heap key. The
-// batch then dispatches by merging three sorted sources: the run buffer,
-// the spill buffer (events scheduled during the batch that fall inside the
-// window — they skip the heap entirely, which is the point), and the heap
-// itself (reached when enqueue declined the spill: out-of-order key or
-// cap overflow). Taking the minimum key across the three sources every
-// step makes the execution order identical to the unbatched engine's,
-// whatever the routing decided.
+// drain is the engine's one event loop: it executes every pending event
+// whose key sorts strictly before bound (only bound's key fields are
+// read), in (time, owner, oseq) order, and returns how many ran. Events
+// the handlers schedule below bound are pushed onto the same heap and run
+// in this same loop. It panics once the processed count exceeds stopAt:
+// the event limit is hoisted into one precomputed comparison per event.
 //
 //fabric:hotpath
-func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopAt uint64) int {
+func (e *Engine) drain(bound entry, stopAt uint64) int {
 	n := 0
-	for {
-		// Refill: pop the heap's front window into the run buffer.
-		e.run = e.run[:0]
-		e.runPos = 0
-		for len(e.run) < maxBatch && len(e.queue) > 0 {
-			h := &e.queue[0]
-			if !keyBelow(h.at, h.owner, h.oseq, boundAt, boundOwner, boundSeq) {
-				break
-			}
-			en := e.queue.popMin()
-			if a := &e.arena[en.idx]; a.free || a.gen != en.gen {
-				continue // canceled; entry was stale
-			}
-			e.run = append(e.run, en)
+	for len(e.queue) > 0 && entryLess(&e.queue[0], &bound) {
+		en := e.queue.popMin()
+		a := &e.arena[en.idx]
+		if a.free || a.gen != en.gen {
+			continue // canceled; entry was stale
 		}
-		if len(e.run) == 0 {
-			return n // nothing below the bound (spill drains with its batch)
+		e.execute(&en, a)
+		n++
+		if e.processed > stopAt {
+			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
 		}
-		// The window bound: where the refill stopped.
-		wAt, wOwner, wSeq := boundAt, boundOwner, boundSeq
-		if len(e.queue) > 0 {
-			if h := &e.queue[0]; keyBelow(h.at, h.owner, h.oseq, wAt, wOwner, wSeq) {
-				wAt, wOwner, wSeq = h.at, h.owner, h.oseq
-			}
-		}
-		e.inBatch = true
-		e.boundAt, e.boundOwner, e.boundSeq = wAt, wOwner, wSeq
-
-		for {
-			var en entry
-			src := -1
-			if e.runPos < len(e.run) {
-				en = e.run[e.runPos]
-				src = 0
-			}
-			if e.spillPos < len(e.spill) {
-				if s := &e.spill[e.spillPos]; src < 0 || entryLess(s, &en) {
-					en = *s
-					src = 1
-				}
-			}
-			if len(e.queue) > 0 { // keys enqueue routed past the spill
-				if h := &e.queue[0]; keyBelow(h.at, h.owner, h.oseq, wAt, wOwner, wSeq) &&
-					(src < 0 || entryLess(h, &en)) {
-					src = 2
-				}
-			}
-			switch src {
-			case 0:
-				e.runPos++
-			case 1:
-				e.spillPos++
-			case 2:
-				en = e.queue.popMin()
-			default:
-				goto batchDone
-			}
-			a := &e.arena[en.idx]
-			if a.free || a.gen != en.gen {
-				continue // canceled mid-batch
-			}
-			e.execute(&en, a)
-			n++
-			if e.processed > stopAt {
-				e.inBatch = false
-				panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
-			}
-		}
-	batchDone:
-		e.inBatch = false
-		e.spill = e.spill[:0]
-		e.spillPos = 0
 	}
+	return n
 }
 
-// maxBound is the exclusive drain bound that admits every real key.
-const maxBoundAt = time.Duration(math.MaxInt64)
+// maxBound is the exclusive drain bound above every real key.
+var maxBound = entry{at: math.MaxInt64, owner: math.MaxUint64, oseq: math.MaxUint64}
 
 // Run executes events until the queue drains. It panics if the event limit
 // is exceeded, which in practice means a protocol is generating events
 // faster than it consumes them (a forwarding loop).
 func (e *Engine) Run() {
-	stopAt := e.processed + e.limit
-	if e.unbatched {
-		for e.Step() {
-			if e.processed > stopAt {
-				panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
-			}
-		}
-		return
-	}
-	e.drain(maxBoundAt, math.MaxUint64, math.MaxUint64, stopAt)
+	e.drain(maxBound, e.processed+e.limit)
 }
 
 // RunUntil executes every event scheduled at or before t, then advances the
@@ -733,35 +556,21 @@ func (e *Engine) RunUntil(t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	stopAt := e.processed + e.limit
-	if e.unbatched {
-		for {
-			next, ok := e.peek()
-			if !ok || next > t {
-				break
-			}
-			e.Step()
-			if e.processed > stopAt {
-				panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
-			}
-		}
-		e.now = t
-		return
-	}
 	// Inclusive of events at exactly t: the exclusive bound is the first
 	// key of t+1 (saturating at the horizon).
-	boundAt := t + 1
-	if t == maxBoundAt {
-		boundAt = maxBoundAt
+	bound := entry{at: t + 1}
+	if t == maxBound.at {
+		bound = maxBound
 	}
-	e.drain(boundAt, 0, 0, stopAt)
+	e.drain(bound, e.processed+e.limit)
 	e.now = t
 }
 
 // RunFor executes events for the next d of virtual time (RunUntil(Now()+d)).
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
-// peek returns the timestamp of the next live event.
+// peek returns the timestamp of the next live event, discarding stale
+// entries at the heap head.
 func (e *Engine) peek() (time.Duration, bool) {
 	for len(e.queue) > 0 {
 		h := &e.queue[0]
@@ -773,9 +582,6 @@ func (e *Engine) peek() (time.Duration, bool) {
 	}
 	return 0, false
 }
-
-// NextEventAt returns the virtual time of the next pending live event.
-func (e *Engine) NextEventAt() (time.Duration, bool) { return e.peek() }
 
 // NextKey returns the full ordering key of the next pending live event.
 // The coordinator uses it to pre-stamp shard engines before executing a
@@ -795,40 +601,20 @@ func (e *Engine) CurKey() (at time.Duration, owner, oseq uint64) {
 	return e.curAt, e.curOwner, e.curSeq
 }
 
-// RunWindow executes every event strictly before bound and reports how
-// many ran. It is the per-shard half of one conservative synchronization
-// window: the coordinator guarantees no other shard can inject an event
-// before bound, so everything below it is safe to run without looking up.
-// Unlike RunUntil it does not advance the clock to the bound — the next
-// window recomputes its horizon from the real queue heads.
-func (e *Engine) RunWindow(bound time.Duration) int {
-	return e.RunWindowKey(bound, 0, 0)
-}
-
 // RunWindowKey executes every event whose full ordering key sorts
-// strictly before (at, owner, oseq) and reports how many ran. The key-
-// exact bound is what lets a pending coordinator barrier carry an entity
-// identity (owner > 0): shard events at the barrier's own timestamp with
-// smaller keys must still run inside the window, exactly where the
-// single-engine run would have executed them. The event-limit backstop for
-// sharded runs lives in the coordinator (it spans all shards of one run),
-// so the per-engine check is disarmed here.
+// strictly before (at, owner, oseq) and reports how many ran. It is the
+// per-shard half of one conservative synchronization window: the
+// coordinator guarantees no other shard can inject an event below the
+// bound, so everything below it is safe to run. The key-exact bound is
+// what lets a pending coordinator barrier carry an entity identity
+// (owner > 0): shard events at the barrier's own timestamp with smaller
+// keys must still run inside the window, exactly where the single-engine
+// run would have executed them. Unlike RunUntil it does not advance the
+// clock to the bound. The event-limit backstop for sharded runs lives in
+// the coordinator (it spans all shards of one run), so the per-engine
+// check is disarmed here.
 func (e *Engine) RunWindowKey(at time.Duration, owner, oseq uint64) int {
-	if e.unbatched {
-		n := 0
-		for {
-			if _, ok := e.peek(); !ok {
-				return n
-			}
-			h := &e.queue[0]
-			if !keyBelow(h.at, h.owner, h.oseq, at, owner, oseq) {
-				return n
-			}
-			e.Step()
-			n++
-		}
-	}
-	return e.drain(at, owner, oseq, math.MaxUint64)
+	return e.drain(entry{at: at, owner: owner, oseq: oseq}, math.MaxUint64)
 }
 
 // SetNow advances the clock to exactly t without running anything. It

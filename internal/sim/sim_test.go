@@ -182,18 +182,37 @@ func TestNilCallbackPanics(t *testing.T) {
 	e.After(0, nil)
 }
 
+// TestEventLimitPanics pins the runaway-loop backstop on every entry point
+// of the shared event loop: Run and RunUntil trip it, while RunWindowKey
+// runs disarmed because the sharded coordinator enforces the limit across
+// all shards of one run.
 func TestEventLimitPanics(t *testing.T) {
-	e := New(1)
-	e.SetEventLimit(100)
-	var loop func()
-	loop = func() { e.After(time.Nanosecond, loop) }
-	e.After(0, loop)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("runaway loop did not trip the event limit")
-		}
-	}()
-	e.Run()
+	for _, tc := range []struct {
+		name      string
+		run       func(e *Engine)
+		wantPanic bool
+	}{
+		{"Run", func(e *Engine) { e.Run() }, true},
+		{"RunUntil", func(e *Engine) { e.RunUntil(time.Second) }, true},
+		{"RunWindowKey", func(e *Engine) { e.RunWindowKey(time.Microsecond, 0, 0) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			e.SetEventLimit(100)
+			var loop func()
+			loop = func() { e.After(time.Nanosecond, loop) }
+			e.After(0, loop)
+			defer func() {
+				if got := recover() != nil; got != tc.wantPanic {
+					t.Fatalf("panicked=%v after %d events, want %v", got, e.Processed(), tc.wantPanic)
+				}
+				if !tc.wantPanic && e.Processed() != 1000 {
+					t.Fatalf("disarmed window ran %d events, want 1000", e.Processed())
+				}
+			}()
+			tc.run(e)
+		})
+	}
 }
 
 func TestDeterminismSameSeed(t *testing.T) {
@@ -237,18 +256,21 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
-func TestNextEventAt(t *testing.T) {
+func TestNextKey(t *testing.T) {
 	e := New(1)
-	if _, ok := e.NextEventAt(); ok {
-		t.Fatal("NextEventAt on empty queue reported an event")
+	if _, _, _, ok := e.NextKey(); ok {
+		t.Fatal("NextKey on empty queue reported an event")
 	}
-	tm := e.After(7*time.Millisecond, func() {})
-	if at, ok := e.NextEventAt(); !ok || at != 7*time.Millisecond {
-		t.Fatalf("NextEventAt = %v,%v", at, ok)
+	p := NewProc(e, 5)
+	p.After(time.Millisecond, func() {}) // consumes oseq 0
+	tm := p.After(7*time.Millisecond, func() {})
+	e.RunUntil(2 * time.Millisecond)
+	if at, owner, oseq, ok := e.NextKey(); !ok || at != 7*time.Millisecond || owner != 5 || oseq != 1 {
+		t.Fatalf("NextKey = %v,%d,%d,%v, want 7ms,5,1,true", at, owner, oseq, ok)
 	}
 	tm.Stop()
-	if _, ok := e.NextEventAt(); ok {
-		t.Fatal("NextEventAt reported a canceled event")
+	if _, _, _, ok := e.NextKey(); ok {
+		t.Fatal("NextKey reported a canceled event")
 	}
 }
 
