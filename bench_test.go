@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/host"
 	"repro/internal/layers"
+	"repro/internal/tables"
 	"repro/internal/topo"
 )
 
@@ -267,34 +268,56 @@ func BenchmarkForwardSingleHop(b *testing.B) { benchForward(b, 1) }
 // of the parse-once/copy-never dataplane. allocs/op must be 0.
 func BenchmarkForwardChain16(b *testing.B) { benchForward(b, 16) }
 
-// BenchmarkTableChurn10k hammers the locking table with a 10k-host working
-// set: lock, confirm, look up, and refresh cycling through the population,
-// with expiry pressure from advancing time. allocs/op must be 0 once the
-// table has grown to its steady-state size.
+// BenchmarkTableChurn10k hammers the locking table with a 10k-key
+// working set: lock, confirm, look up, and refresh cycling through the
+// population, with expiry pressure from advancing time — at both key
+// widths: packed host MACs (ARP-Path) and directed MAC pairs (Flow-Path).
+// allocs/op must be 0 once the table has grown to its steady-state size.
 func BenchmarkTableChurn10k(b *testing.B) {
 	built, _ := establishedLine(b, 1)
 	port := built.Host("H1").Port()
-	tbl := core.NewLockTable(200*time.Millisecond, 120*time.Second)
 	const hosts = 10_000
-	macs := make([]layers.MAC, hosts)
+	macs := make([]uint64, hosts)
 	for i := range macs {
-		macs[i] = layers.HostMAC(i + 1)
+		macs[i] = layers.HostMAC(i + 1).Uint64()
 	}
-	for i, m := range macs { // pre-grow to steady state
-		tbl.Learn(m, port, time.Duration(i))
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := macs[i%hosts]
-		now := time.Duration(i) * time.Microsecond
-		tbl.Lock(m, port, now)
-		tbl.Learn(m, port, now)
-		if _, ok := tbl.Get(m, now); !ok {
-			b.Fatal("entry vanished")
+	b.Run("mac", func(b *testing.B) {
+		tbl := core.NewLockTable(200*time.Millisecond, 120*time.Second)
+		for i, m := range macs { // pre-grow to steady state
+			tbl.LearnKey(m, port, time.Duration(i))
 		}
-		tbl.Refresh(m, now)
-	}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := macs[i%hosts]
+			now := time.Duration(i) * time.Microsecond
+			tbl.LockKey(m, port, now)
+			tbl.LearnKey(m, port, now)
+			if _, ok := tbl.GetKey(m, now); !ok {
+				b.Fatal("entry vanished")
+			}
+			tbl.RefreshKey(m, now)
+		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		tbl := core.NewLockTable(200*time.Millisecond, 120*time.Second)
+		pair := func(i int) tables.Key { return tables.Key{Hi: macs[i%hosts], Lo: macs[(i+1)%hosts]} }
+		for i := range macs { // pre-grow to steady state
+			tbl.Learn(pair(i), port, time.Duration(i))
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := pair(i)
+			now := time.Duration(i) * time.Microsecond
+			tbl.Lock(k, port, now)
+			tbl.Learn(k, port, now)
+			if _, ok := tbl.Get(k, now); !ok {
+				b.Fatal("entry vanished")
+			}
+			tbl.Refresh(k, now)
+		}
+	})
 }
 
 // BenchmarkFabricForwardThroughput is the benchmark form of

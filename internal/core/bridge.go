@@ -458,7 +458,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 
 // EntryFor reports the port and state the bridge currently binds mac to.
 func (b *Bridge) EntryFor(mac layers.MAC) (Entry, bool) {
-	return b.table.Get(mac, b.Now())
+	return b.table.GetKey(mac.Uint64(), b.Now())
 }
 
 var _ bridge.Protocol = (*Bridge)(nil)

@@ -688,26 +688,26 @@ func TestLockTableBasics(t *testing.T) {
 	tb := NewLockTable(100*time.Millisecond, time.Second)
 	m := layers.HostMAC(1)
 
-	tb.Lock(m, l.A(), 0)
-	if e, ok := tb.Get(m, 50*time.Millisecond); !ok || e.State != StateLocked {
+	tb.LockKey(m.Uint64(), l.A(), 0)
+	if e, ok := tb.GetKey(m.Uint64(), 50*time.Millisecond); !ok || e.State != StateLocked {
 		t.Fatal("lock not stored")
 	}
-	if _, ok := tb.Get(m, 100*time.Millisecond); ok {
+	if _, ok := tb.GetKey(m.Uint64(), 100*time.Millisecond); ok {
 		t.Fatal("lock survived its window")
 	}
-	tb.Learn(m, l.A(), 0)
-	if e, ok := tb.Get(m, 500*time.Millisecond); !ok || e.State != StateLearned {
+	tb.LearnKey(m.Uint64(), l.A(), 0)
+	if e, ok := tb.GetKey(m.Uint64(), 500*time.Millisecond); !ok || e.State != StateLearned {
 		t.Fatal("learn not stored")
 	}
-	tb.Refresh(m, 900*time.Millisecond)
-	if _, ok := tb.Get(m, 1800*time.Millisecond); !ok {
+	tb.RefreshKey(m.Uint64(), 900*time.Millisecond)
+	if _, ok := tb.GetKey(m.Uint64(), 1800*time.Millisecond); !ok {
 		t.Fatal("refresh did not extend learned entry")
 	}
-	tb.Delete(m)
+	tb.DeleteKey(m.Uint64())
 	if tb.Len() != 0 {
 		t.Fatal("delete failed")
 	}
-	tb.Lock(layers.BroadcastMAC, l.A(), 0)
+	tb.LockKey(layers.BroadcastMAC.Uint64(), l.A(), 0)
 	if tb.Len() != 0 {
 		t.Fatal("multicast source locked")
 	}
@@ -718,8 +718,8 @@ func TestLockTableSnapshotAndFlush(t *testing.T) {
 	a, b := newHost("a", 1), newHost("b", 2)
 	l := net.Connect(a, b, link(0))
 	tb := NewLockTable(100*time.Millisecond, time.Second)
-	tb.Lock(layers.HostMAC(1), l.A(), 0)
-	tb.Learn(layers.HostMAC(2), l.B(), 0)
+	tb.LockKey(layers.HostMAC(1).Uint64(), l.A(), 0)
+	tb.LearnKey(layers.HostMAC(2).Uint64(), l.B(), 0)
 	snap := tb.Snapshot(50 * time.Millisecond)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot len %d", len(snap))

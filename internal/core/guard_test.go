@@ -17,9 +17,9 @@ func TestLockTableGuard(t *testing.T) {
 	m := layers.HostMAC(1)
 
 	// Guarding a learned entry re-arms the window without downgrading.
-	tb.Learn(m, l.A(), 0)
-	tb.Guard(m, 500*time.Millisecond)
-	e, ok := tb.Get(m, 550*time.Millisecond)
+	tb.LearnKey(m.Uint64(), l.A(), 0)
+	tb.GuardKey(m.Uint64(), 500*time.Millisecond)
+	e, ok := tb.GetKey(m.Uint64(), 550*time.Millisecond)
 	if !ok || e.State != StateLearned {
 		t.Fatalf("entry after guard: %+v ok=%v", e, ok)
 	}
@@ -30,20 +30,20 @@ func TestLockTableGuard(t *testing.T) {
 		t.Fatal("window did not close")
 	}
 	// The learned lifetime must not shrink: still alive at 900ms.
-	if _, ok := tb.Get(m, 900*time.Millisecond); !ok {
+	if _, ok := tb.GetKey(m.Uint64(), 900*time.Millisecond); !ok {
 		t.Fatal("guard truncated the learned lifetime")
 	}
 
 	// Guarding near expiry extends life to at least the window's end.
-	tb.Learn(m, l.A(), 0)
-	tb.Guard(m, 990*time.Millisecond)
-	if _, ok := tb.Get(m, 1050*time.Millisecond); !ok {
+	tb.LearnKey(m.Uint64(), l.A(), 0)
+	tb.GuardKey(m.Uint64(), 990*time.Millisecond)
+	if _, ok := tb.GetKey(m.Uint64(), 1050*time.Millisecond); !ok {
 		t.Fatal("guard did not keep the entry alive through its window")
 	}
 
 	// Guarding a missing entry is a no-op.
-	tb.Delete(m)
-	tb.Guard(m, 0)
+	tb.DeleteKey(m.Uint64())
+	tb.GuardKey(m.Uint64(), 0)
 	if tb.Len() != 0 {
 		t.Fatal("guard resurrected a deleted entry")
 	}
@@ -84,7 +84,7 @@ func TestParallelLinkHairpinBlocked(t *testing.T) {
 	// (simulating the stale state a repair race could leave). A data frame
 	// arriving from b1 must NOT bounce back over the sibling link.
 	net.Engine.At(net.Now(), func() {
-		b2.Table().Learn(h2.MAC(), slow.B(), net.Now())
+		b2.Table().LearnKey(h2.MAC().Uint64(), slow.B(), net.Now())
 	})
 	drops := b2.Stats().HairpinDrop
 	net.Engine.At(net.Now()+time.Millisecond, func() {

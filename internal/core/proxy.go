@@ -134,7 +134,7 @@ func (b *Bridge) proxyHandleBroadcast(in *netsim.Port, v *layers.FrameView, now 
 		b.stats.ProxyMisses++
 		return false
 	}
-	e, ok := b.table.Get(mac, now)
+	e, ok := b.table.GetKey(mac.Uint64(), now)
 	if !ok || e.State != StateLearned || e.Port == in {
 		b.stats.ProxyMisses++
 		return false

@@ -104,9 +104,9 @@ func (b *Bridge) handlePathFail(in *netsim.Port, f *netsim.Frame, v *layers.Fram
 	}
 	ctl := &v.Ctl
 	// Tear down the stale path toward the unreachable destination.
-	b.table.Delete(ctl.Dst)
+	b.table.DeleteKey(ctl.Dst.Uint64())
 
-	e, ok := b.table.Get(ctl.Src, now)
+	e, ok := b.table.GetKey(ctl.Src.Uint64(), now)
 	switch {
 	case ok && b.IsEdge(e.Port):
 		// We are Src's edge bridge: emulate Src's ARP Request (§2.1.4).
@@ -145,8 +145,8 @@ func (b *Bridge) originatePathRequest(src, dst layers.MAC, nonce uint32) {
 	// entry must survive an unanswered repair, or the edge bridge would
 	// forget its own attached host.
 	var except *netsim.Port
-	if e, ok := b.table.Get(src, now); ok {
-		b.table.Guard(src, now)
+	if e, ok := b.table.GetKey(src.Uint64(), now); ok {
+		b.table.GuardKey(src.Uint64(), now)
 		except = e.Port
 	}
 	b.stats.BroadcastRelayed++
@@ -162,7 +162,7 @@ func (b *Bridge) answerPathRequest(in *netsim.Port, v *layers.FrameView, now tim
 		return false
 	}
 	ctl := &v.Ctl
-	e, ok := b.table.Get(ctl.Dst, now)
+	e, ok := b.table.GetKey(ctl.Dst.Uint64(), now)
 	if !ok || !b.IsEdge(e.Port) || e.Port == in {
 		return false
 	}

@@ -122,8 +122,8 @@ func TestLockTableReset(t *testing.T) {
 	l := net.Connect(a, b, netsim.DefaultLinkConfig())
 
 	tbl := NewLockTable(time.Second, time.Minute)
-	tbl.Lock(a.MAC(), l.A(), 0)
-	tbl.Learn(b.MAC(), l.B(), 0)
+	tbl.LockKey(a.MAC().Uint64(), l.A(), 0)
+	tbl.LearnKey(b.MAC().Uint64(), l.B(), 0)
 	if tbl.Len() != 2 {
 		t.Fatalf("Len=%d, want 2", tbl.Len())
 	}
@@ -131,12 +131,12 @@ func TestLockTableReset(t *testing.T) {
 	if tbl.Len() != 0 {
 		t.Fatalf("Len=%d after Reset", tbl.Len())
 	}
-	if _, ok := tbl.Get(a.MAC(), 0); ok {
+	if _, ok := tbl.GetKey(a.MAC().Uint64(), 0); ok {
 		t.Fatal("entry survived Reset")
 	}
 	// The table is fully usable after Reset (fresh generations).
-	tbl.Learn(a.MAC(), l.A(), 0)
-	if e, ok := tbl.Get(a.MAC(), 0); !ok || e.Port != l.A() {
+	tbl.LearnKey(a.MAC().Uint64(), l.A(), 0)
+	if e, ok := tbl.GetKey(a.MAC().Uint64(), 0); !ok || e.Port != l.A() {
 		t.Fatal("table unusable after Reset")
 	}
 }

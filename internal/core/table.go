@@ -78,13 +78,21 @@ type portState struct {
 	live int    // resident entries bound to this port at the current gen
 }
 
-// LockTable is the ARP-Path locking table: MAC → (port, locked|learned,
+// LockTable is the ARP-Path locking table: key → (port, locked|learned,
 // expiry). It is the bridge's only forwarding state — there is no routing
 // protocol and no tree (§1).
 //
-// The table is a tables.Map keyed by the uint64-packed MAC
-// (layers.MAC.Uint64): the simulator decodes the packed keys once per
-// frame into the FrameView, and each operation probes the compact
+// It is also the fabric's only forwarding table. Every protocol stores
+// its state in one:
+//   - ARP-Path keys it by the uint64-packed MAC (layers.MAC.Uint64,
+//     decoded once per frame into the FrameView) through the *Key methods;
+//   - the learning switch and STP use it in learned-only mode: they never
+//     lock, so no entry is ever race-guarded, and the learned timeout is
+//     the filtering database's aging time;
+//   - Flow-Path and TCP-Path key it by a two-word tables.Key (a directed
+//     MAC pair, a packed 4-tuple) through Get, Lock, Learn and Refresh.
+//
+// The entries live in a tables.Map: each operation probes the compact
 // open-addressing index once and rewrites the entry in place — the
 // software counterpart of the NetFPGA bridge's hardware hash table.
 // Expiry is lazy (checked on access) and link failures are handled by
@@ -102,7 +110,7 @@ type LockTable struct {
 	lockTimeout    time.Duration
 	learnedTimeout time.Duration
 	capacity       int
-	tracker        *tables.Tracker[uint64] // nil for the timeout baseline
+	tracker        *tables.Tracker // nil for the timeout baseline
 	entries        *tables.Map[tableEntry]
 	ports          []*portState // a bridge has a handful of ports: scanned
 	resident       int          // stored entries whose port generation is current
@@ -141,9 +149,20 @@ func NewBoundedLockTable(lockTimeout, learnedTimeout time.Duration, bound tables
 		entries:        tables.NewMap[tableEntry](bound.Capacity),
 	}
 	if bound.Tracked() {
-		t.tracker = tables.NewTracker[uint64](bound.Policy)
+		t.tracker = tables.NewTracker(bound)
 	}
 	return t
+}
+
+// SetLearnedTimeout changes the lifetime given to future learns and the
+// amortized sweep's period. 802.1D shortens a bridge's aging time to
+// ForwardDelay during topology changes; existing entries keep their
+// deadlines until relearned or flushed.
+func (t *LockTable) SetLearnedTimeout(d time.Duration) {
+	if d <= 0 {
+		panic("core: learned timeout must be positive")
+	}
+	t.learnedTimeout = d
 }
 
 func (t *LockTable) port(p *netsim.Port) *portState {
@@ -234,7 +253,7 @@ func (t *LockTable) makeRoom(now time.Duration) {
 // caller already paid for (0 when absent): an existing entry is rewritten
 // in place, a new one is inserted after the capacity bound made room.
 // Residency counters, the recency tracker and the peak are maintained.
-func (t *LockTable) store(key uint64, i int32, e Entry, now time.Duration) {
+func (t *LockTable) store(key tables.Key, i int32, e Entry, now time.Duration) {
 	if i == 0 && t.capacity > 0 && t.entries.Len() >= t.capacity {
 		t.makeRoom(now)
 	}
@@ -268,7 +287,7 @@ func (t *LockTable) store(key uint64, i int32, e Entry, now time.Duration) {
 // none; a dead entry found on the way is evicted lazily.
 //
 //fabric:hotpath
-func (t *LockTable) live(key uint64, now time.Duration) int32 {
+func (t *LockTable) live(key tables.Key, now time.Duration) int32 {
 	i := t.entries.Find(key)
 	if i != 0 && t.dead(t.entries.Val(i), now) {
 		t.evict(i)
@@ -277,11 +296,18 @@ func (t *LockTable) live(key uint64, now time.Duration) int32 {
 	return i
 }
 
-// GetKey returns the live entry for a packed key, evicting it lazily if
-// expired or flushed.
+// macKey is the table key of a packed MAC.
+func macKey(key uint64) tables.Key { return tables.Key{Hi: key} }
+
+// junkMAC reports whether a packed MAC may not be bound: a multicast or
+// broadcast address, or the zero MAC.
+func junkMAC(key uint64) bool { return layers.KeyIsMulticast(key) || key == 0 }
+
+// Get returns the live entry for key, evicting it lazily if expired or
+// flushed.
 //
 //fabric:hotpath
-func (t *LockTable) GetKey(key uint64, now time.Duration) (Entry, bool) {
+func (t *LockTable) Get(key tables.Key, now time.Duration) (Entry, bool) {
 	i := t.live(key, now)
 	if i == 0 {
 		return Entry{}, false
@@ -293,15 +319,19 @@ func (t *LockTable) GetKey(key uint64, now time.Duration) (Entry, bool) {
 	return e.Entry, true
 }
 
-// Get returns the live entry for mac, evicting it lazily if expired.
-func (t *LockTable) Get(mac layers.MAC, now time.Duration) (Entry, bool) {
-	return t.GetKey(mac.Uint64(), now)
+// GetKey returns the live entry for a packed MAC.
+//
+//fabric:hotpath
+func (t *LockTable) GetKey(key uint64, now time.Duration) (Entry, bool) {
+	return t.Get(macKey(key), now)
 }
 
-// LockKey binds a packed key to port in the locked state, starting (or
-// restarting) the race window.
-func (t *LockTable) LockKey(key uint64, port *netsim.Port, now time.Duration) {
-	if layers.KeyIsMulticast(key) || key == 0 {
+// Lock binds key to port in the locked state, starting (or restarting)
+// the race window. The zero Key is never stored.
+//
+//fabric:hotpath
+func (t *LockTable) Lock(key tables.Key, port *netsim.Port, now time.Duration) {
+	if key == (tables.Key{}) {
 		return
 	}
 	t.maybeSweep(now)
@@ -313,19 +343,22 @@ func (t *LockTable) LockKey(key uint64, port *netsim.Port, now time.Duration) {
 	}, now)
 }
 
-// Lock binds mac to port in the locked state, starting (or restarting)
-// the race window.
-func (t *LockTable) Lock(mac layers.MAC, port *netsim.Port, now time.Duration) {
-	t.LockKey(mac.Uint64(), port, now)
+// LockKey locks a packed MAC to port; multicast and zero MACs are
+// ignored.
+func (t *LockTable) LockKey(key uint64, port *netsim.Port, now time.Duration) {
+	if !junkMAC(key) {
+		t.Lock(macKey(key), port, now)
+	}
 }
 
-// LearnKey binds a packed key to port in the learned state (path
-// confirmed). A confirmation on the entry's existing port preserves the
-// remaining race window so late flood copies stay filtered.
+// Learn binds key to port in the learned state (path confirmed). A
+// confirmation on the entry's existing port preserves the remaining race
+// window so late flood copies stay filtered. The zero Key is never
+// stored.
 //
 //fabric:hotpath
-func (t *LockTable) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
-	if layers.KeyIsMulticast(key) || key == 0 {
+func (t *LockTable) Learn(key tables.Key, port *netsim.Port, now time.Duration) {
+	if key == (tables.Key{}) {
 		return
 	}
 	t.maybeSweep(now)
@@ -344,19 +377,25 @@ func (t *LockTable) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
 	}, now)
 }
 
-// Learn binds mac to port in the learned state (path confirmed).
-func (t *LockTable) Learn(mac layers.MAC, port *netsim.Port, now time.Duration) {
-	t.LearnKey(mac.Uint64(), port, now)
+// LearnKey learns a packed MAC on port; multicast and zero MACs are
+// ignored.
+//
+//fabric:hotpath
+func (t *LockTable) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
+	if !junkMAC(key) {
+		t.Learn(macKey(key), port, now)
+	}
 }
 
-// GuardKey re-arms the race window on the current binding without moving
-// the port, shortening the entry's remaining lifetime, or downgrading a
-// learned entry. Used when a bridge originates a PathRequest on a host's
-// behalf: copies of that flood returning over other ports must be
-// filtered exactly as for a host-sent request, but the bridge must not
-// forget its own attached host if the repair goes unanswered.
+// GuardKey re-arms the race window on a packed MAC's current binding
+// without moving the port, shortening the entry's remaining lifetime, or
+// downgrading a learned entry. Used when a bridge originates a
+// PathRequest on a host's behalf: copies of that flood returning over
+// other ports must be filtered exactly as for a host-sent request, but
+// the bridge must not forget its own attached host if the repair goes
+// unanswered.
 func (t *LockTable) GuardKey(key uint64, now time.Duration) {
-	i := t.live(key, now)
+	i := t.live(macKey(key), now)
 	if i == 0 {
 		return
 	}
@@ -372,16 +411,11 @@ func (t *LockTable) GuardKey(key uint64, now time.Duration) {
 	}
 }
 
-// Guard re-arms the race window on mac's current binding.
-func (t *LockTable) Guard(mac layers.MAC, now time.Duration) {
-	t.GuardKey(mac.Uint64(), now)
-}
-
-// RefreshKey extends the current entry's lifetime without changing its
-// state or port. Refreshing a missing or expired entry is a no-op.
+// Refresh extends the current entry's lifetime without changing its state
+// or port. Refreshing a missing or expired entry is a no-op.
 //
 //fabric:hotpath
-func (t *LockTable) RefreshKey(key uint64, now time.Duration) {
+func (t *LockTable) Refresh(key tables.Key, now time.Duration) {
 	i := t.live(key, now)
 	if i == 0 {
 		return
@@ -399,22 +433,20 @@ func (t *LockTable) RefreshKey(key uint64, now time.Duration) {
 	}
 }
 
-// Refresh extends the current entry's lifetime without changing its state
-// or port.
-func (t *LockTable) Refresh(mac layers.MAC, now time.Duration) {
-	t.RefreshKey(mac.Uint64(), now)
+// RefreshKey refreshes a packed MAC's entry.
+//
+//fabric:hotpath
+func (t *LockTable) RefreshKey(key uint64, now time.Duration) {
+	t.Refresh(macKey(key), now)
 }
 
-// DeleteKey removes a packed key's entry (stale-path teardown during
+// DeleteKey removes a packed MAC's entry (stale-path teardown during
 // repair).
 func (t *LockTable) DeleteKey(key uint64) {
-	if i := t.entries.Find(key); i != 0 {
+	if i := t.entries.Find(macKey(key)); i != 0 {
 		t.evict(i)
 	}
 }
-
-// Delete removes mac's entry.
-func (t *LockTable) Delete(mac layers.MAC) { t.DeleteKey(mac.Uint64()) }
 
 // FlushPort invalidates every entry bound to port (link failure) in O(1)
 // by advancing the port's generation; the corpses are reclaimed lazily on
@@ -493,12 +525,13 @@ func (t *LockTable) FlushExpired(now time.Duration) {
 }
 
 // Snapshot returns a copy of the live entries; used by experiments to
-// reconstruct the path a flow has locked (Figure 1's bubbles).
-func (t *LockTable) Snapshot(now time.Duration) map[layers.MAC]Entry {
-	out := make(map[layers.MAC]Entry, t.entries.Len())
+// reconstruct the path a flow has locked (Figure 1's bubbles) and by the
+// scenario checker's path walks.
+func (t *LockTable) Snapshot(now time.Duration) map[tables.Key]Entry {
+	out := make(map[tables.Key]Entry, t.entries.Len())
 	for i := int32(1); i <= int32(t.entries.Len()); i++ {
 		if e := t.entries.Val(i); !t.dead(e, now) {
-			out[layers.MACFromUint64(t.entries.Key(i))] = e.Entry
+			out[t.entries.Key(i)] = e.Entry
 		}
 	}
 	return out

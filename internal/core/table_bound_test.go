@@ -71,7 +71,7 @@ func TestEvictionNeverTouchesGuardedEntries(t *testing.T) {
 							delete(lockedAt, k) // window closed
 							continue
 						}
-						if tb.entries.Find(k) == 0 {
+						if tb.entries.Find(macKey(k)) == 0 {
 							t.Fatalf("op %d (%s): key %x evicted inside its race window (locked at %v, now %v)",
 								i, policy, k, at, now)
 						}
@@ -86,16 +86,16 @@ func TestEvictionNeverTouchesGuardedEntries(t *testing.T) {
 	}
 }
 
-// TestLockTablePortStateReclaim mirrors the PairTable side-table leak
-// regression on the original per-host table: port generation records and
-// the one-slot port cache must not outlive the entries referencing them.
+// TestLockTablePortStateReclaim is the side-table leak regression: port
+// generation records and the one-slot port cache must not outlive the
+// entries referencing them.
 func TestLockTablePortStateReclaim(t *testing.T) {
 	const n = 64
 	ports := boundPorts(n)
 	tb := NewLockTable(time.Millisecond, 10*time.Millisecond)
 
 	for i, p := range ports {
-		tb.Learn(layers.HostMAC(i+1), p, 0)
+		tb.LearnKey(layers.HostMAC(i+1).Uint64(), p, 0)
 	}
 	if got := tb.PortStates(); got != n {
 		t.Fatalf("PortStates = %d, want %d", got, n)
@@ -107,7 +107,7 @@ func TestLockTablePortStateReclaim(t *testing.T) {
 
 	// Repeated link flaps on one port must not accumulate records either.
 	for flap := 0; flap < 100; flap++ {
-		tb.Learn(layers.HostMAC(200), ports[0], time.Second)
+		tb.LearnKey(layers.HostMAC(200).Uint64(), ports[0], time.Second)
 		tb.FlushPort(ports[0])
 	}
 	tb.FlushExpired(2 * time.Second)
@@ -117,8 +117,89 @@ func TestLockTablePortStateReclaim(t *testing.T) {
 	if tb.lastPS != nil {
 		t.Fatal("one-slot port cache still points at a reclaimed record")
 	}
-	tb.Learn(layers.HostMAC(201), ports[0], 3*time.Second)
-	if e, ok := tb.Get(layers.HostMAC(201), 3*time.Second); !ok || e.Port != ports[0] {
+	tb.LearnKey(layers.HostMAC(201).Uint64(), ports[0], 3*time.Second)
+	if e, ok := tb.GetKey(layers.HostMAC(201).Uint64(), 3*time.Second); !ok || e.Port != ports[0] {
+		t.Fatal("learn after port-state reclaim failed")
+	}
+}
+
+// TestLockTablePairKeyCorpseSweep is the regression test for the
+// table-leak bug first seen on the per-connection table: a TCP-Path
+// conversation mix of distinct connections plus FlushPort churn kept
+// Len() honest while the stored entries grew without bound — every
+// generation-killed and expired entry stayed resident as a corpse
+// forever. The amortized sweep must keep the store itself (Entries(),
+// not just Len()) bounded by the working set.
+func TestLockTablePairKeyCorpseSweep(t *testing.T) {
+	ports := boundPorts(2)
+	// Short confirmed lifetime so expiry churns quickly; the sweep period
+	// equals it.
+	const lifetime = 10 * time.Millisecond
+	tb := NewLockTable(time.Millisecond, lifetime)
+
+	now := time.Duration(0)
+	maxEntries := 0
+	for i := 0; i < 50_000; i++ {
+		// Each iteration is a distinct connection (fresh key), as under
+		// million-conversation churn.
+		tb.Learn(tables.Key{Hi: uint64(i + 1), Lo: uint64(i) << 32}, ports[i%2], now)
+		if i%100 == 99 {
+			// Link flap: generation-kill everything on one port. The
+			// corpses this creates are exactly what leaked.
+			tb.FlushPort(ports[0])
+		}
+		now += 100 * time.Microsecond
+		maxEntries = max(maxEntries, tb.Entries())
+	}
+	// The working set is at most lifetime/spacing = 100 live entries plus
+	// one sweep period of corpses — far below the 50k keys inserted. Give
+	// generous slack; the leaking behaviour was ~50k.
+	if maxEntries > 1000 {
+		t.Fatalf("table grew to %d entries under churn (want bounded ≈ working set); corpses are leaking", maxEntries)
+	}
+	if tb.Len() > tb.Entries() {
+		t.Fatalf("resident %d exceeds stored %d", tb.Len(), tb.Entries())
+	}
+}
+
+// TestLockTablePairKeyPortStateReclaim is the side-table leak regression
+// at pair keys: port records are reclaimed once no live entry references
+// them, for ports that vanish from the workload and across repeated link
+// flaps.
+func TestLockTablePairKeyPortStateReclaim(t *testing.T) {
+	const n = 64
+	ports := boundPorts(n)
+	tb := NewLockTable(time.Millisecond, 10*time.Millisecond)
+
+	// One entry per port, then let everything expire: a full sweep must
+	// drop every port record along with the corpses.
+	for i, p := range ports {
+		tb.Learn(tables.Key{Hi: uint64(i + 1), Lo: 1}, p, 0)
+	}
+	if got := tb.PortStates(); got != n {
+		t.Fatalf("PortStates = %d, want %d", got, n)
+	}
+	tb.FlushExpired(time.Second)
+	if got := tb.PortStates(); got != 0 {
+		t.Fatalf("PortStates = %d after all entries expired, want 0 (port records leak)", got)
+	}
+
+	// Repeated flaps on one port: flush, re-learn, flush, ... The port
+	// records must stay at one, not accumulate generations.
+	for flap := 0; flap < 100; flap++ {
+		tb.Learn(tables.Key{Hi: 7, Lo: uint64(flap)}, ports[0], time.Second)
+		tb.FlushPort(ports[0])
+	}
+	tb.FlushExpired(2 * time.Second)
+	if got := tb.PortStates(); got != 0 {
+		t.Fatalf("PortStates = %d after 100 flaps and a sweep, want 0", got)
+	}
+	// The one-slot port cache must not resurrect the reclaimed record.
+	if tb.lastPS != nil {
+		t.Fatal("port cache still points at a reclaimed record")
+	}
+	tb.Learn(tables.Key{Hi: 8, Lo: 8}, ports[0], 3*time.Second)
+	if e, ok := tb.Get(tables.Key{Hi: 8, Lo: 8}, 3*time.Second); !ok || e.Port != ports[0] {
 		t.Fatal("learn after port-state reclaim failed")
 	}
 }
@@ -134,7 +215,7 @@ func TestLockTableCapacityBound(t *testing.T) {
 
 	now := 10 * time.Millisecond
 	for i := 1; i <= 200; i++ {
-		tb.Learn(layers.HostMAC(i), ports[0], now)
+		tb.LearnKey(layers.HostMAC(i).Uint64(), ports[0], now)
 		now += 2 * time.Millisecond // windows close between inserts
 	}
 	if got := tb.Entries(); got > capacity {
@@ -147,10 +228,10 @@ func TestLockTableCapacityBound(t *testing.T) {
 		t.Fatalf("peak %d exceeded capacity %d without guarded entries", tb.PeakEntries(), capacity)
 	}
 	// LRU: the survivors are exactly the most recent inserts.
-	if _, ok := tb.Get(layers.HostMAC(200), now); !ok {
+	if _, ok := tb.GetKey(layers.HostMAC(200).Uint64(), now); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := tb.Get(layers.HostMAC(1), now); ok {
+	if _, ok := tb.GetKey(layers.HostMAC(1).Uint64(), now); ok {
 		t.Fatal("least recent entry survived 184 evictions")
 	}
 }

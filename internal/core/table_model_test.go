@@ -18,8 +18,8 @@ import (
 type refTable struct {
 	lockTimeout, learnedTimeout time.Duration
 	capacity                    int
-	tracker                     *tables.Tracker[uint64]
-	entries                     map[uint64]refEntry
+	tracker                     *tables.Tracker
+	entries                     map[tables.Key]refEntry
 	gens                        map[*netsim.Port]uint32
 	evictions                   uint64
 	peak                        int
@@ -35,10 +35,10 @@ type refEntry struct {
 func newRefTable(lock, learned time.Duration, bound tables.Config) *refTable {
 	r := &refTable{
 		lockTimeout: lock, learnedTimeout: learned, capacity: bound.Capacity,
-		entries: map[uint64]refEntry{}, gens: map[*netsim.Port]uint32{},
+		entries: map[tables.Key]refEntry{}, gens: map[*netsim.Port]uint32{},
 	}
 	if bound.Tracked() {
-		r.tracker = tables.NewTracker[uint64](bound.Policy)
+		r.tracker = tables.NewTracker(bound)
 	}
 	return r
 }
@@ -47,7 +47,7 @@ func (r *refTable) dead(e refEntry, now time.Duration) bool {
 	return e.Expires <= now || e.gen != r.gens[e.Port]
 }
 
-func (r *refTable) evict(key uint64) {
+func (r *refTable) evict(key tables.Key) {
 	if r.tracker != nil {
 		r.tracker.Remove(r.entries[key].th)
 	}
@@ -61,7 +61,7 @@ func (r *refTable) touch(e refEntry) {
 }
 
 // live returns key's entry if it is live, evicting a dead one.
-func (r *refTable) live(key uint64, now time.Duration) (refEntry, bool) {
+func (r *refTable) live(key tables.Key, now time.Duration) (refEntry, bool) {
 	e, ok := r.entries[key]
 	if ok && r.dead(e, now) {
 		r.evict(key)
@@ -70,8 +70,8 @@ func (r *refTable) live(key uint64, now time.Duration) (refEntry, bool) {
 	return e, ok
 }
 
-func (r *refTable) write(key uint64, e Entry, now time.Duration) {
-	if key == 0 || layers.KeyIsMulticast(key) {
+func (r *refTable) write(key tables.Key, e Entry, now time.Duration) {
+	if key == (tables.Key{}) {
 		return
 	}
 	if now >= r.nextSweep {
@@ -119,15 +119,15 @@ func (r *refTable) makeRoom(now time.Duration) {
 	}
 }
 
-func (r *refTable) lock(key uint64, p *netsim.Port, now time.Duration) {
+func (r *refTable) lock(key tables.Key, p *netsim.Port, now time.Duration) {
 	r.write(key, Entry{Port: p, State: StateLocked, Expires: now + r.lockTimeout, LockedUntil: now + r.lockTimeout}, now)
 }
 
-func (r *refTable) learn(key uint64, p *netsim.Port, now time.Duration) {
+func (r *refTable) learn(key tables.Key, p *netsim.Port, now time.Duration) {
 	r.write(key, Entry{Port: p, State: StateLearned, Expires: now + r.learnedTimeout}, now)
 }
 
-func (r *refTable) get(key uint64, now time.Duration) (Entry, bool) {
+func (r *refTable) get(key tables.Key, now time.Duration) (Entry, bool) {
 	e, ok := r.live(key, now)
 	if ok {
 		r.touch(e)
@@ -135,7 +135,7 @@ func (r *refTable) get(key uint64, now time.Duration) (Entry, bool) {
 	return e.Entry, ok
 }
 
-func (r *refTable) guard(key uint64, now time.Duration) {
+func (r *refTable) guard(key tables.Key, now time.Duration) {
 	if e, ok := r.live(key, now); ok {
 		e.LockedUntil = now + r.lockTimeout
 		e.Expires = max(e.Expires, e.LockedUntil)
@@ -144,7 +144,7 @@ func (r *refTable) guard(key uint64, now time.Duration) {
 	}
 }
 
-func (r *refTable) refresh(key uint64, now time.Duration) {
+func (r *refTable) refresh(key tables.Key, now time.Duration) {
 	if e, ok := r.live(key, now); ok {
 		if e.State == StateLocked {
 			e.Expires = now + r.lockTimeout
@@ -156,7 +156,7 @@ func (r *refTable) refresh(key uint64, now time.Duration) {
 	}
 }
 
-func (r *refTable) delete(key uint64) {
+func (r *refTable) delete(key tables.Key) {
 	if _, ok := r.entries[key]; ok {
 		r.evict(key)
 	}
@@ -200,32 +200,64 @@ func (r *refTable) len() int {
 	return n
 }
 
-func (r *refTable) snapshot(now time.Duration) map[layers.MAC]Entry {
-	out := map[layers.MAC]Entry{}
+func (r *refTable) snapshot(now time.Duration) map[tables.Key]Entry {
+	out := map[tables.Key]Entry{}
 	for key, e := range r.entries {
 		if !r.dead(e, now) {
-			out[layers.MACFromUint64(key)] = e.Entry
+			out[key] = e.Entry
 		}
 	}
 	return out
 }
 
+// modelStream is one kind of operation sequence the table serves.
+type modelStream struct {
+	name string
+	keys []tables.Key
+	// mac drives the packed-MAC methods (LockKey, LearnKey, ...), whose
+	// writes skip multicast and zero MACs; otherwise the two-word methods
+	// (Lock, Learn, ...) run, whose writes skip only the zero Key.
+	mac bool
+	// learnedOnly is the learning switch's and STP's use: no locks and
+	// no guards, and the learned timeout switches between the normal and
+	// a fast value mid-run, as STP's topology-change aging does.
+	learnedOnly bool
+}
+
+func modelStreams() []modelStream {
+	var mac []tables.Key
+	for i := 1; i <= 64; i++ {
+		mac = append(mac, macKey(layers.HostMAC(i).Uint64()))
+	}
+	mac = append(mac, tables.Key{}, macKey(layers.BroadcastMAC.Uint64())) // rejected by writes
+	// Pair keys: 8 × 8 halves, the zero half included (a legal TCP-Path
+	// tuple encoding); only the all-zero Key is rejected.
+	var pair []tables.Key
+	for hi := uint64(0); hi < 8; hi++ {
+		for lo := uint64(0); lo < 8; lo++ {
+			pair = append(pair, tables.Key{Hi: hi * 0x0200_0000_0001, Lo: lo << 32})
+		}
+	}
+	return []modelStream{
+		{name: "mac", keys: mac, mac: true},
+		{name: "pair", keys: pair},
+		{name: "learned", keys: mac, mac: true, learnedOnly: true},
+	}
+}
+
 // TestLockTableMatchesModel drives LockTable and the reference model with
-// the same seeded operation stream — unbounded, and bounded under LRU and
-// clock — and compares every observable after every operation.
+// the same seeded operation streams — MAC keys, pair keys with zero
+// halves, and the learned-only use with a changing learned timeout —
+// unbounded and bounded under LRU and clock, and compares every
+// observable after every operation.
 func TestLockTableMatchesModel(t *testing.T) {
 	const (
 		lockTimeout    = 2 * time.Millisecond
 		learnedTimeout = 40 * time.Millisecond
+		fastTimeout    = 6 * time.Millisecond
 		ops            = 30000
 	)
 	ports := boundPorts(4)
-	keys := make([]uint64, 0, 66)
-	for i := 1; i <= 64; i++ {
-		keys = append(keys, layers.HostMAC(i).Uint64())
-	}
-	keys = append(keys, 0, layers.BroadcastMAC.Uint64()) // rejected by writes
-
 	for _, bound := range []tables.Config{
 		{},
 		{Capacity: 24, Policy: tables.PolicyLRU},
@@ -233,73 +265,120 @@ func TestLockTableMatchesModel(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s-%d", bound.Policy, bound.Capacity)
 		t.Run(name, func(t *testing.T) {
-			tb := NewBoundedLockTable(lockTimeout, learnedTimeout, bound)
-			ref := newRefTable(lockTimeout, learnedTimeout, bound)
-			rng := rand.New(rand.NewSource(11))
-			now := time.Duration(0)
-			for i := 0; i < ops; i++ {
-				now += time.Duration(rng.Intn(400)) * time.Microsecond
-				key := keys[rng.Intn(len(keys))]
-				p := ports[rng.Intn(len(ports))]
-				var op string
-				switch x := rng.Intn(100); {
-				case x < 25:
-					op = "lock"
-					tb.LockKey(key, p, now)
-					ref.lock(key, p, now)
-				case x < 45:
-					op = "learn"
-					tb.LearnKey(key, p, now)
-					ref.learn(key, p, now)
-				case x < 55:
-					op = "guard"
-					tb.GuardKey(key, now)
-					ref.guard(key, now)
-				case x < 70:
-					op = "refresh"
-					tb.RefreshKey(key, now)
-					ref.refresh(key, now)
-				case x < 90:
-					op = "get"
-				case x < 95:
-					op = "delete"
-					tb.DeleteKey(key)
-					ref.delete(key)
-				case x < 98:
-					op = "flushport"
-					if got, want := tb.FlushPort(p), ref.flushPort(p); got != want {
-						t.Fatalf("op %d FlushPort = %d, model %d", i, got, want)
-					}
-				case x < 99:
-					op = "flushexpired"
-					tb.FlushExpired(now)
-					ref.flushExpired(now)
-				default:
-					op = "reset"
-					tb.Reset()
-					ref.reset()
-				}
-				// Every operation ends with a compared Get of its key (a
-				// "get" operation is just that): it touches recency on both
-				// sides alike.
-				got, gok := tb.GetKey(key, now)
-				want, wok := ref.get(key, now)
-				if got != want || gok != wok {
-					t.Fatalf("op %d (%s): get %x: table (%+v, %v), model (%+v, %v)", i, op, key, got, gok, want, wok)
-				}
-				if tb.Len() != ref.len() || tb.Entries() != len(ref.entries) ||
-					tb.Evictions() != ref.evictions || tb.PeakEntries() != ref.peak {
-					t.Fatalf("op %d (%s): table len/entries/evictions/peak %d/%d/%d/%d, model %d/%d/%d/%d",
-						i, op, tb.Len(), tb.Entries(), tb.Evictions(), tb.PeakEntries(),
-						ref.len(), len(ref.entries), ref.evictions, ref.peak)
-				}
-				if got, want := tb.Snapshot(now), ref.snapshot(now); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d (%s): snapshots differ:\ntable %v\nmodel %v", i, op, got, want)
-				}
-			}
-			if bound.Capacity > 0 && tb.Evictions() == 0 {
-				t.Fatal("no capacity evictions: the bound was not exercised")
+			for _, st := range modelStreams() {
+				t.Run(st.name, func(t *testing.T) {
+					runModelStream(t, st, bound, lockTimeout, learnedTimeout, fastTimeout, ops, ports)
+				})
 			}
 		})
+	}
+}
+
+func runModelStream(t *testing.T, st modelStream, bound tables.Config,
+	lockTimeout, learnedTimeout, fastTimeout time.Duration, ops int, ports []*netsim.Port) {
+	tb := NewBoundedLockTable(lockTimeout, learnedTimeout, bound)
+	ref := newRefTable(lockTimeout, learnedTimeout, bound)
+	// writable applies the packed-MAC methods' junk rule to the model.
+	writable := func(key tables.Key) bool { return !st.mac || !junkMAC(key.Hi) }
+	rng := rand.New(rand.NewSource(11))
+	now := time.Duration(0)
+	for i := 0; i < ops; i++ {
+		now += time.Duration(rng.Intn(400)) * time.Microsecond
+		key := st.keys[rng.Intn(len(st.keys))]
+		p := ports[rng.Intn(len(ports))]
+		x := rng.Intn(100)
+		if st.learnedOnly {
+			switch {
+			case x < 25:
+				x = 25 // lock becomes learn
+			case x >= 45 && x < 55:
+				x = 99 // guard becomes a learned-timeout switch
+			}
+		}
+		var op string
+		switch {
+		case x < 25:
+			op = "lock"
+			if st.mac {
+				tb.LockKey(key.Hi, p, now)
+			} else {
+				tb.Lock(key, p, now)
+			}
+			if writable(key) {
+				ref.lock(key, p, now)
+			}
+		case x < 45:
+			op = "learn"
+			if st.mac {
+				tb.LearnKey(key.Hi, p, now)
+			} else {
+				tb.Learn(key, p, now)
+			}
+			if writable(key) {
+				ref.learn(key, p, now)
+			}
+		case x < 55 && st.mac:
+			op = "guard"
+			tb.GuardKey(key.Hi, now)
+			ref.guard(key, now)
+		case x < 70:
+			op = "refresh"
+			if st.mac {
+				tb.RefreshKey(key.Hi, now)
+			} else {
+				tb.Refresh(key, now)
+			}
+			ref.refresh(key, now)
+		case x < 90:
+			op = "get"
+		case x < 95 && st.mac:
+			op = "delete"
+			tb.DeleteKey(key.Hi)
+			ref.delete(key)
+		case x < 98:
+			op = "flushport"
+			if got, want := tb.FlushPort(p), ref.flushPort(p); got != want {
+				t.Fatalf("op %d FlushPort = %d, model %d", i, got, want)
+			}
+		case x < 99:
+			op = "flushexpired"
+			tb.FlushExpired(now)
+			ref.flushExpired(now)
+		case st.learnedOnly:
+			op = "timeout"
+			d := learnedTimeout
+			if ref.learnedTimeout == learnedTimeout {
+				d = fastTimeout
+			}
+			tb.SetLearnedTimeout(d)
+			ref.learnedTimeout = d
+		default:
+			op = "reset"
+			tb.Reset()
+			ref.reset()
+		}
+		// Every operation ends with a compared Get of its key (a "get"
+		// operation is just that): it touches recency on both sides
+		// alike.
+		got, gok := tb.Get(key, now)
+		want, wok := ref.get(key, now)
+		if got != want || gok != wok {
+			t.Fatalf("op %d (%s): get %x: table (%+v, %v), model (%+v, %v)", i, op, key, got, gok, want, wok)
+		}
+		if st.learnedOnly && gok && got.State != StateLearned {
+			t.Fatalf("op %d (%s): learned-only table holds a %v entry", i, op, got.State)
+		}
+		if tb.Len() != ref.len() || tb.Entries() != len(ref.entries) ||
+			tb.Evictions() != ref.evictions || tb.PeakEntries() != ref.peak {
+			t.Fatalf("op %d (%s): table len/entries/evictions/peak %d/%d/%d/%d, model %d/%d/%d/%d",
+				i, op, tb.Len(), tb.Entries(), tb.Evictions(), tb.PeakEntries(),
+				ref.len(), len(ref.entries), ref.evictions, ref.peak)
+		}
+		if got, want := tb.Snapshot(now), ref.snapshot(now); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d (%s): snapshots differ:\ntable %v\nmodel %v", i, op, got, want)
+		}
+	}
+	if bound.Capacity > 0 && tb.Evictions() == 0 {
+		t.Fatal("no capacity evictions: the bound was not exercised")
 	}
 }

@@ -27,9 +27,9 @@ func TestGuardOnExpiredEntry(t *testing.T) {
 	tb := NewLockTable(100*time.Millisecond, time.Second)
 	m := layers.HostMAC(1)
 
-	tb.Learn(m, p, 0) // expires at 1s
-	tb.Guard(m, 1100*time.Millisecond)
-	if _, ok := tb.Get(m, 1100*time.Millisecond); ok {
+	tb.LearnKey(m.Uint64(), p, 0) // expires at 1s
+	tb.GuardKey(m.Uint64(), 1100*time.Millisecond)
+	if _, ok := tb.GetKey(m.Uint64(), 1100*time.Millisecond); ok {
 		t.Fatal("guard resurrected an expired entry")
 	}
 	if tb.Len() != 0 {
@@ -53,9 +53,9 @@ func TestLearnOnDifferentPortMidWindow(t *testing.T) {
 	tb := NewLockTable(100*time.Millisecond, time.Second)
 	m := layers.HostMAC(1)
 
-	tb.Lock(m, p1, 0) // window open until 100ms
-	tb.Learn(m, p2, 50*time.Millisecond)
-	e, ok := tb.Get(m, 60*time.Millisecond)
+	tb.LockKey(m.Uint64(), p1, 0) // window open until 100ms
+	tb.LearnKey(m.Uint64(), p2, 50*time.Millisecond)
+	e, ok := tb.GetKey(m.Uint64(), 60*time.Millisecond)
 	if !ok {
 		t.Fatal("entry lost")
 	}
@@ -67,9 +67,9 @@ func TestLearnOnDifferentPortMidWindow(t *testing.T) {
 	}
 
 	// Learning on the SAME port mid-window preserves the window.
-	tb.Lock(m, p1, time.Second)
-	tb.Learn(m, p1, 1050*time.Millisecond)
-	e, _ = tb.Get(m, 1060*time.Millisecond)
+	tb.LockKey(m.Uint64(), p1, time.Second)
+	tb.LearnKey(m.Uint64(), p1, 1050*time.Millisecond)
+	e, _ = tb.GetKey(m.Uint64(), 1060*time.Millisecond)
 	if !e.Guarded(1060 * time.Millisecond) {
 		t.Fatal("same-port confirm dropped the race window")
 	}
@@ -86,22 +86,22 @@ func TestSnapshotExcludesExpiredUnswept(t *testing.T) {
 	tb := NewLockTable(100*time.Millisecond, time.Second)
 	live, stale, flushed := layers.HostMAC(1), layers.HostMAC(2), layers.HostMAC(3)
 
-	tb.Learn(live, p1, 500*time.Millisecond) // expires 1.5s
-	tb.Lock(stale, p1, 0)                    // expires 100ms, never touched again
-	tb.Learn(flushed, p2, 500*time.Millisecond)
+	tb.LearnKey(live.Uint64(), p1, 500*time.Millisecond) // expires 1.5s
+	tb.LockKey(stale.Uint64(), p1, 0)                    // expires 100ms, never touched again
+	tb.LearnKey(flushed.Uint64(), p2, 500*time.Millisecond)
 	tb.FlushPort(p2)
 
 	snap := tb.Snapshot(time.Second)
 	if len(snap) != 1 {
 		t.Fatalf("snapshot has %d entries, want 1: %v", len(snap), snap)
 	}
-	if _, ok := snap[live]; !ok {
+	if _, ok := snap[macKey(live.Uint64())]; !ok {
 		t.Fatal("live entry missing from snapshot")
 	}
-	if _, ok := snap[stale]; ok {
+	if _, ok := snap[macKey(stale.Uint64())]; ok {
 		t.Fatal("expired-but-unswept entry leaked into snapshot")
 	}
-	if _, ok := snap[flushed]; ok {
+	if _, ok := snap[macKey(flushed.Uint64())]; ok {
 		t.Fatal("flushed entry leaked into snapshot")
 	}
 }
@@ -113,9 +113,9 @@ func TestFlushPortIsGenerationBased(t *testing.T) {
 	p1, p2 := twoPorts()
 	tb := NewLockTable(100*time.Millisecond, time.Minute)
 	for i := 1; i <= 10; i++ {
-		tb.Learn(layers.HostMAC(i), p1, 0)
+		tb.LearnKey(layers.HostMAC(i).Uint64(), p1, 0)
 	}
-	tb.Learn(layers.HostMAC(11), p2, 0)
+	tb.LearnKey(layers.HostMAC(11).Uint64(), p2, 0)
 	if tb.Len() != 11 {
 		t.Fatalf("Len = %d, want 11", tb.Len())
 	}
@@ -125,15 +125,15 @@ func TestFlushPortIsGenerationBased(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d after flush, want 1", tb.Len())
 	}
-	if _, ok := tb.Get(layers.HostMAC(3), time.Millisecond); ok {
+	if _, ok := tb.GetKey(layers.HostMAC(3).Uint64(), time.Millisecond); ok {
 		t.Fatal("flushed entry still visible")
 	}
-	if _, ok := tb.Get(layers.HostMAC(11), time.Millisecond); !ok {
+	if _, ok := tb.GetKey(layers.HostMAC(11).Uint64(), time.Millisecond); !ok {
 		t.Fatal("entry on the surviving port was lost")
 	}
 	// Re-learning a flushed MAC on the same port works (new generation).
-	tb.Learn(layers.HostMAC(3), p1, time.Millisecond)
-	if e, ok := tb.Get(layers.HostMAC(3), 2*time.Millisecond); !ok || e.Port != p1 {
+	tb.LearnKey(layers.HostMAC(3).Uint64(), p1, time.Millisecond)
+	if e, ok := tb.GetKey(layers.HostMAC(3).Uint64(), 2*time.Millisecond); !ok || e.Port != p1 {
 		t.Fatal("re-learn after flush failed")
 	}
 	if tb.Len() != 2 {
@@ -157,22 +157,22 @@ func TestRefreshExtendsByState(t *testing.T) {
 	tb := NewLockTable(100*time.Millisecond, time.Second)
 	m := layers.HostMAC(1)
 
-	tb.Lock(m, p, 0)
-	tb.Refresh(m, 50*time.Millisecond) // locked: now +100ms = 150ms
-	if _, ok := tb.Get(m, 140*time.Millisecond); !ok {
+	tb.LockKey(m.Uint64(), p, 0)
+	tb.RefreshKey(m.Uint64(), 50*time.Millisecond) // locked: now +100ms = 150ms
+	if _, ok := tb.GetKey(m.Uint64(), 140*time.Millisecond); !ok {
 		t.Fatal("refresh did not extend the lock window lifetime")
 	}
-	if _, ok := tb.Get(m, 151*time.Millisecond); ok {
+	if _, ok := tb.GetKey(m.Uint64(), 151*time.Millisecond); ok {
 		t.Fatal("locked refresh extended past the lock timeout")
 	}
 
-	tb.Learn(m, p, time.Second)
-	tb.Refresh(m, 1500*time.Millisecond) // learned: now +1s
-	if _, ok := tb.Get(m, 2400*time.Millisecond); !ok {
+	tb.LearnKey(m.Uint64(), p, time.Second)
+	tb.RefreshKey(m.Uint64(), 1500*time.Millisecond) // learned: now +1s
+	if _, ok := tb.GetKey(m.Uint64(), 2400*time.Millisecond); !ok {
 		t.Fatal("refresh did not extend the learned lifetime")
 	}
 	// Refreshing an expired entry is a no-op eviction.
-	tb.Refresh(m, 10*time.Second)
+	tb.RefreshKey(m.Uint64(), 10*time.Second)
 	if tb.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", tb.Len())
 	}

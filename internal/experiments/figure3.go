@@ -204,8 +204,8 @@ func activeUplink(n *topo.Built, mac layers.MAC) *netsim.Link {
 			return e.Port.Link()
 		}
 	case *stp.Bridge:
-		if p, ok := b.FIB().Lookup(mac, n.Now()); ok {
-			return p.Link()
+		if e, ok := b.FIB().GetKey(mac.Uint64(), n.Now()); ok {
+			return e.Port.Link()
 		}
 	}
 	return nil

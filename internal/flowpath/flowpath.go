@@ -111,8 +111,8 @@ type Bridge struct {
 	*bridge.Chassis
 	cfg     Config
 	hosts   *core.LockTable // per-host: durable at edges, race-window elsewhere
-	pairs   *PairTable      // per directed pair: the forwarding state proper
-	repairs map[PairKey]*pairRepair
+	pairs   *core.LockTable // per directed pair: the forwarding state proper
+	repairs map[tables.Key]*pairRepair
 	wheel   *sim.Wheel
 	stats   Stats
 }
@@ -130,20 +130,32 @@ func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
 		panic("flowpath: " + err.Error())
 	}
 	b := &Bridge{
-		cfg:   cfg,
-		hosts: core.NewLockTable(cfg.LockTimeout, cfg.HostTimeout),
-		// Pair keys are packed MACs in both halves: the junk-key guard
-		// applies (multicast or zero halves never pin a slot).
-		pairs:   NewBoundedPairTable(cfg.LockTimeout, cfg.PairTimeout, bound, true),
-		repairs: make(map[PairKey]*pairRepair),
+		cfg:     cfg,
+		hosts:   core.NewLockTable(cfg.LockTimeout, cfg.HostTimeout),
+		pairs:   core.NewBoundedLockTable(cfg.LockTimeout, cfg.PairTimeout, bound),
+		repairs: make(map[tables.Key]*pairRepair),
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, b)
 	b.HelloEnabled = true
 	return b
 }
 
-// pairOf builds the directed pair key for frames src→dst.
-func pairOf(src, dst uint64) PairKey { return PairKey{Hi: src, Lo: dst} }
+// pairOf builds the directed pair key for frames src→dst: the packed
+// source and destination MACs, exact, no hashing. Direction matters: the
+// reverse path is a separate entry.
+func pairOf(src, dst uint64) tables.Key { return tables.Key{Hi: src, Lo: dst} }
+
+// learnPair confirms a pair path. Both halves are packed MACs, so a pair
+// with a multicast, broadcast or zero half — which no locking table may
+// bind — never pins a slot.
+//
+//fabric:hotpath
+func (b *Bridge) learnPair(k tables.Key, port *netsim.Port, now time.Duration) {
+	if layers.KeyIsMulticast(k.Hi) || k.Hi == 0 || layers.KeyIsMulticast(k.Lo) || k.Lo == 0 {
+		return
+	}
+	b.pairs.Learn(k, port, now)
+}
 
 // Stats returns a snapshot of the protocol counters.
 func (b *Bridge) Stats() Stats { return b.stats }
@@ -152,7 +164,7 @@ func (b *Bridge) Stats() Stats { return b.stats }
 func (b *Bridge) Config() Config { return b.cfg }
 
 // Pairs exposes the pair table (experiments, checker).
-func (b *Bridge) Pairs() *PairTable { return b.pairs }
+func (b *Bridge) Pairs() *core.LockTable { return b.pairs }
 
 // Hosts exposes the host table (experiments, checker).
 func (b *Bridge) Hosts() *core.LockTable { return b.hosts }
@@ -371,7 +383,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 	// Edge shortcut: the destination hangs off this bridge — deliver and
 	// learn the pair (a one-hop path cannot loop).
 	if he, ok := b.hosts.GetKey(dst, now); ok && b.IsEdge(he.Port) && he.Port != in {
-		b.pairs.Learn(pk, he.Port, now)
+		b.learnPair(pk, he.Port, now)
 		b.stats.EdgeDelivered++
 		he.Port.SendFrame(f)
 		return
@@ -400,8 +412,8 @@ func (b *Bridge) confirmPair(in *netsim.Port, f *netsim.Frame, v *layers.FrameVi
 		b.stats.MissDrop++
 		return
 	}
-	b.pairs.Learn(pairOf(dst, src), in, now) // S→D exits via the reply's ingress
-	b.pairs.Learn(pairOf(src, dst), out, now)
+	b.learnPair(pairOf(dst, src), in, now) // S→D exits via the reply's ingress
+	b.learnPair(pairOf(src, dst), out, now)
 	b.stats.PairsConfirmed++
 	// Release anything buffered for S→D now that the path exists.
 	b.completeRepair(pairOf(dst, src), in, now)
@@ -456,7 +468,7 @@ func (b *Bridge) startRepair(f *netsim.Frame, v *layers.FrameView, now time.Dura
 }
 
 // completeRepair releases frames buffered for pk out the confirmed port.
-func (b *Bridge) completeRepair(pk PairKey, out *netsim.Port, _ time.Duration) {
+func (b *Bridge) completeRepair(pk tables.Key, out *netsim.Port, _ time.Duration) {
 	r, ok := b.repairs[pk]
 	if !ok {
 		return
@@ -481,7 +493,7 @@ func (b *Bridge) answerPathRequest(in *netsim.Port, v *layers.FrameView, now tim
 		return false
 	}
 	ctl := &v.Ctl
-	e, ok := b.hosts.Get(ctl.Dst, now)
+	e, ok := b.hosts.GetKey(ctl.Dst.Uint64(), now)
 	if !ok || !b.IsEdge(e.Port) || e.Port == in {
 		return false
 	}
@@ -497,8 +509,8 @@ func (b *Bridge) answerPathRequest(in *netsim.Port, v *layers.FrameView, now tim
 	// it, confirming the pair at every hop. The terminal hops are ours:
 	// write both directions now so data released upstream completes the
 	// path (Src→Dst out the edge port, Dst→Src back out the ingress).
-	b.pairs.Learn(pairOf(ctl.Src.Uint64(), ctl.Dst.Uint64()), e.Port, now)
-	b.pairs.Learn(pairOf(ctl.Dst.Uint64(), ctl.Src.Uint64()), in, now)
+	b.learnPair(pairOf(ctl.Src.Uint64(), ctl.Dst.Uint64()), e.Port, now)
+	b.learnPair(pairOf(ctl.Dst.Uint64(), ctl.Src.Uint64()), in, now)
 	in.Send(reply)
 	// Release anything we were buffering for the pair ourselves.
 	b.completeRepair(pairOf(ctl.Src.Uint64(), ctl.Dst.Uint64()), e.Port, now)

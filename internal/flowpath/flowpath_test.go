@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"repro/internal/host"
+	"repro/internal/layers"
+	"repro/internal/netsim"
+	"repro/internal/tables"
 	"repro/internal/topo"
 )
 
@@ -72,9 +75,9 @@ func TestFlowPathDeliversAndKeysPerPair(t *testing.T) {
 		fb := br.(*Bridge)
 		own := built.Host("H" + br.Name()[1:]).MAC() // S<i> hosts H<i>
 		snap := fb.Hosts().Snapshot(now)
-		for mac := range snap {
-			if mac != own {
-				t.Fatalf("bridge %s still holds foreign host %v after the race window", br.Name(), mac)
+		for k := range snap {
+			if k.Hi != own.Uint64() {
+				t.Fatalf("bridge %s still holds foreign host %v after the race window", br.Name(), layers.MACFromUint64(k.Hi))
 			}
 		}
 		if (br.Name() == "S1" || br.Name() == "S3") && len(snap) != 1 {
@@ -168,5 +171,46 @@ func TestFlowPathRepairsWarmConversation(t *testing.T) {
 	}
 	if repairs == 0 {
 		t.Fatal("conversation recovered without any pair repair — test is not exercising the machinery")
+	}
+}
+
+// TestFlowPathPairJunkKeyGuard: Flow-Path's pair writes reject the halves
+// ARP-Path's LockKey rejects — multicast/broadcast and the zero MAC — so
+// a junk pair never pins a slot, while TCP-Path's connection table
+// accepts zero halves as legal 4-tuple encodings.
+func TestFlowPathPairJunkKeyGuard(t *testing.T) {
+	net := netsim.NewNetwork(1)
+	b := New(net, "S1", 1, DefaultConfig())
+	tp := NewTCPPath(net, "S2", 2, DefaultTCPConfig())
+	port := net.Connect(b, tp, netsim.DefaultLinkConfig()).A()
+	bcast := layers.BroadcastMAC.Uint64()
+	mcast := layers.MAC{0x01, 0x00, 0x5E, 0, 0, 1}.Uint64()
+	good := layers.HostMAC(1).Uint64()
+
+	for _, k := range []tables.Key{
+		{Hi: bcast, Lo: good}, // broadcast source half
+		{Hi: good, Lo: bcast}, // broadcast destination half
+		{Hi: mcast, Lo: good},
+		{Hi: good, Lo: mcast},
+		{Hi: 0, Lo: good}, // zero MAC halves
+		{Hi: good, Lo: 0},
+	} {
+		b.learnPair(k, port, 0)
+		if _, ok := b.Pairs().Get(k, 0); ok {
+			t.Fatalf("junk pair %x/%x was admitted to the pair table", k.Hi, k.Lo)
+		}
+	}
+	if b.Pairs().Len() != 0 || b.Pairs().Entries() != 0 {
+		t.Fatalf("junk keys pinned %d entries (%d resident)", b.Pairs().Entries(), b.Pairs().Len())
+	}
+	b.learnPair(pairOf(good, layers.HostMAC(2).Uint64()), port, 0)
+	if b.Pairs().Len() != 1 {
+		t.Fatal("legitimate MAC pair rejected")
+	}
+
+	conn := tables.Key{Hi: 0, Lo: 443}
+	tp.Conns().Learn(conn, port, 0)
+	if _, ok := tp.Conns().Get(conn, 0); !ok {
+		t.Fatal("connection table rejected a zero half")
 	}
 }

@@ -3,6 +3,7 @@ package flowpath
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -75,6 +76,14 @@ func init() {
 					return nil, err
 				}
 			}
+			if err := errors.Join(
+				j.LockTimeout.NonNegative("lock_timeout"),
+				j.PairTimeout.NonNegative("pair_timeout"),
+				j.HostTimeout.NonNegative("host_timeout"),
+				j.RepairTimeout.NonNegative("repair_timeout"),
+			); err != nil {
+				return nil, err
+			}
 			if _, err := tables.ParseConfig(j.PairCapacity, j.PairPolicy); err != nil {
 				return nil, err
 			}
@@ -119,6 +128,12 @@ func init() {
 				if err := strictUnmarshal(raw, &j); err != nil {
 					return nil, err
 				}
+			}
+			if err := errors.Join(
+				j.ConnLockTimeout.NonNegative("conn_lock_timeout"),
+				j.ConnTimeout.NonNegative("conn_timeout"),
+			); err != nil {
+				return nil, err
 			}
 			if _, err := tables.ParseConfig(j.ConnCapacity, j.ConnPolicy); err != nil {
 				return nil, err

@@ -76,7 +76,7 @@ type TCPStats struct {
 type TCPPath struct {
 	*core.Bridge
 	cfg   TCPConfig
-	conns *PairTable
+	conns *core.LockTable
 	stats TCPStats
 }
 
@@ -91,9 +91,9 @@ func NewTCPPath(net *netsim.Network, name string, numID int, cfg TCPConfig) *TCP
 	}
 	t := &TCPPath{
 		cfg: cfg,
-		// Connection keys pack IPs and TCP ports, not MACs: no junk-key
-		// guard (a zero half is a legal tuple encoding).
-		conns: NewBoundedPairTable(cfg.ConnLockTimeout, cfg.ConnTimeout, bound, false),
+		// Connection keys pack IPs and TCP ports, not MACs: a zero half
+		// is a legal tuple encoding.
+		conns: core.NewBoundedLockTable(cfg.ConnLockTimeout, cfg.ConnTimeout, bound),
 	}
 	// The chassis dispatches to t; t consumes TCP segments and delegates
 	// the rest to the embedded ARP-Path protocol.
@@ -101,17 +101,17 @@ func NewTCPPath(net *netsim.Network, name string, numID int, cfg TCPConfig) *TCP
 	return t
 }
 
-// connKey packs a directed 4-tuple into a PairKey: exact, no hashing.
-func connKey(v *layers.FrameView) PairKey {
-	return PairKey{
+// connKey packs a directed 4-tuple into a table key: exact, no hashing.
+func connKey(v *layers.FrameView) tables.Key {
+	return tables.Key{
 		Hi: uint64(binary.BigEndian.Uint32(v.IPSrc[:]))<<32 | uint64(binary.BigEndian.Uint32(v.IPDst[:])),
 		Lo: uint64(v.TCPSrcPort)<<16 | uint64(v.TCPDstPort),
 	}
 }
 
 // reverseKey is the opposite direction's key.
-func reverseKey(k PairKey) PairKey {
-	return PairKey{
+func reverseKey(k tables.Key) tables.Key {
+	return tables.Key{
 		Hi: k.Hi<<32 | k.Hi>>32,
 		Lo: k.Lo<<16&0xFFFF0000 | k.Lo>>16&0xFFFF,
 	}
@@ -121,7 +121,7 @@ func reverseKey(k PairKey) PairKey {
 func (t *TCPPath) TCPStats() TCPStats { return t.stats }
 
 // Conns exposes the connection table (experiments, tests).
-func (t *TCPPath) Conns() *PairTable { return t.conns }
+func (t *TCPPath) Conns() *core.LockTable { return t.conns }
 
 // ForwardingEntries reports resident forwarding state: the ARP-Path table
 // plus the connection table.
@@ -201,7 +201,7 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 // the connection key: the first copy locks the reverse direction (the
 // path the SYN|ACK will retrace) to its arrival port, duplicates are
 // filtered, and the flood terminates at the destination's edge bridge.
-func (t *TCPPath) handleSYN(in *netsim.Port, f *netsim.Frame, v *layers.FrameView, k PairKey, now time.Duration) {
+func (t *TCPPath) handleSYN(in *netsim.Port, f *netsim.Frame, v *layers.FrameView, k tables.Key, now time.Duration) {
 	rk := reverseKey(k)
 	if e, ok := t.conns.Get(rk, now); ok {
 		switch {

@@ -6,8 +6,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/layers"
 	"repro/internal/netsim"
+	"repro/internal/tables"
 )
 
 // endpoint is a minimal host for dataplane tests: it records frames
@@ -47,6 +49,13 @@ func (e *endpoint) send(dst layers.MAC, tag byte) {
 }
 
 func cfg() netsim.LinkConfig { return netsim.DefaultLinkConfig() }
+
+// newFIB returns the filtering database of a learning switch with the
+// given aging time: the learned-only core.LockTable the table tests
+// exercise.
+func newFIB(aging time.Duration) *core.LockTable {
+	return NewWithConfig(netsim.NewNetwork(1), "sw", 1, Config{Aging: aging}).FIB()
+}
 
 // lineTopo builds h1 - sw1 - sw2 - h2 and returns the pieces.
 func lineTopo(t *testing.T) (*netsim.Network, *endpoint, *endpoint, *Switch, *Switch) {
@@ -137,12 +146,12 @@ func TestLinkDownFlushesPort(t *testing.T) {
 	net, h1, _, sw1, _ := lineTopo(t)
 	net.Engine.At(0, func() { h1.send(layers.HostMAC(2), 1) })
 	net.RunFor(time.Millisecond)
-	if _, ok := sw1.FIB().Lookup(layers.HostMAC(1), net.Now()); !ok {
+	if _, ok := sw1.FIB().GetKey(layers.HostMAC(1).Uint64(), net.Now()); !ok {
 		t.Fatal("h1 not learned")
 	}
 	net.Engine.At(net.Now(), func() { sw1.Port(0).Link().SetUp(false) })
 	net.Run()
-	if _, ok := sw1.FIB().Lookup(layers.HostMAC(1), net.Now()); ok {
+	if _, ok := sw1.FIB().GetKey(layers.HostMAC(1).Uint64(), net.Now()); ok {
 		t.Fatal("binding survived link down")
 	}
 }
@@ -170,15 +179,15 @@ func TestLoopMeltdown(t *testing.T) {
 }
 
 func TestTableAging(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	net := netsim.NewNetwork(1)
 	a, b := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(a, b, cfg())
-	tb.Learn(layers.HostMAC(1), l.A(), 0)
-	if _, ok := tb.Lookup(layers.HostMAC(1), 999*time.Millisecond); !ok {
+	tb.LearnKey(layers.HostMAC(1).Uint64(), l.A(), 0)
+	if _, ok := tb.GetKey(layers.HostMAC(1).Uint64(), 999*time.Millisecond); !ok {
 		t.Fatal("entry expired early")
 	}
-	if _, ok := tb.Lookup(layers.HostMAC(1), time.Second); ok {
+	if _, ok := tb.GetKey(layers.HostMAC(1).Uint64(), time.Second); ok {
 		t.Fatal("entry survived expiry")
 	}
 	if tb.Len() != 0 {
@@ -187,56 +196,52 @@ func TestTableAging(t *testing.T) {
 }
 
 func TestTableRefreshOnRelearn(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	net := netsim.NewNetwork(1)
 	a, b := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(a, b, cfg())
-	tb.Learn(layers.HostMAC(1), l.A(), 0)
-	tb.Learn(layers.HostMAC(1), l.A(), 900*time.Millisecond)
-	if _, ok := tb.Lookup(layers.HostMAC(1), 1500*time.Millisecond); !ok {
+	tb.LearnKey(layers.HostMAC(1).Uint64(), l.A(), 0)
+	tb.LearnKey(layers.HostMAC(1).Uint64(), l.A(), 900*time.Millisecond)
+	if _, ok := tb.GetKey(layers.HostMAC(1).Uint64(), 1500*time.Millisecond); !ok {
 		t.Fatal("refresh did not extend expiry")
 	}
 }
 
 func TestTableIgnoresMulticastAndZeroSource(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	net := netsim.NewNetwork(1)
 	a, b := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(a, b, cfg())
-	tb.Learn(layers.BroadcastMAC, l.A(), 0)
-	tb.Learn(layers.ZeroMAC, l.A(), 0)
+	tb.LearnKey(layers.BroadcastMAC.Uint64(), l.A(), 0)
+	tb.LearnKey(layers.ZeroMAC.Uint64(), l.A(), 0)
 	if tb.Len() != 0 {
 		t.Fatal("invalid source learned")
 	}
 }
 
 func TestTableFlushes(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	net := netsim.NewNetwork(1)
 	a, b := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(a, b, cfg())
-	tb.Learn(layers.HostMAC(1), l.A(), 0)
-	tb.Learn(layers.HostMAC(2), l.B(), 0)
+	tb.LearnKey(layers.HostMAC(1).Uint64(), l.A(), 0)
+	tb.LearnKey(layers.HostMAC(2).Uint64(), l.B(), 0)
 	tb.FlushPort(l.A())
-	if _, ok := tb.Lookup(layers.HostMAC(1), 0); ok {
+	if _, ok := tb.GetKey(layers.HostMAC(1).Uint64(), 0); ok {
 		t.Fatal("FlushPort missed")
 	}
-	if _, ok := tb.Lookup(layers.HostMAC(2), 0); !ok {
+	if _, ok := tb.GetKey(layers.HostMAC(2).Uint64(), 0); !ok {
 		t.Fatal("FlushPort overreached")
-	}
-	tb.FlushAll()
-	if tb.Len() != 0 {
-		t.Fatal("FlushAll missed")
 	}
 }
 
 func TestTableFlushExpired(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	net := netsim.NewNetwork(1)
 	a, b := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(a, b, cfg())
-	tb.Learn(layers.HostMAC(1), l.A(), 0)
-	tb.Learn(layers.HostMAC(2), l.A(), 500*time.Millisecond)
+	tb.LearnKey(layers.HostMAC(1).Uint64(), l.A(), 0)
+	tb.LearnKey(layers.HostMAC(2).Uint64(), l.A(), 500*time.Millisecond)
 	tb.FlushExpired(time.Second)
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d after sweep, want 1", tb.Len())
@@ -244,56 +249,58 @@ func TestTableFlushExpired(t *testing.T) {
 }
 
 // TestTableGenerationFlush exercises the O(1) generation-based FlushPort:
-// corpses stay in the map but are invisible to Lookup, Len and Macs, and
+// corpses stay stored but are invisible to GetKey, Len and Snapshot, and
 // re-learning on a flushed port starts a fresh generation.
 func TestTableGenerationFlush(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	net := netsim.NewNetwork(1)
 	a, b := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(a, b, cfg())
 	for i := 1; i <= 5; i++ {
-		tb.Learn(layers.HostMAC(i), l.A(), 0)
+		tb.LearnKey(layers.HostMAC(i).Uint64(), l.A(), 0)
 	}
-	tb.Learn(layers.HostMAC(6), l.B(), 0)
+	tb.LearnKey(layers.HostMAC(6).Uint64(), l.B(), 0)
 	tb.FlushPort(l.A())
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d after flush, want 1", tb.Len())
 	}
-	if got := tb.Macs(); len(got) != 1 || got[0] != layers.HostMAC(6) {
-		t.Fatalf("Macs = %v, want only host 6", got)
+	if snap := tb.Snapshot(0); len(snap) != 1 {
+		t.Fatalf("Snapshot = %v, want only host 6", snap)
+	} else if _, ok := snap[tables.Key{Hi: layers.HostMAC(6).Uint64()}]; !ok {
+		t.Fatalf("Snapshot = %v, want only host 6", snap)
 	}
 	// Re-learn two of the flushed MACs; one on each port.
-	tb.Learn(layers.HostMAC(1), l.A(), 0)
-	tb.Learn(layers.HostMAC(2), l.B(), 0)
+	tb.LearnKey(layers.HostMAC(1).Uint64(), l.A(), 0)
+	tb.LearnKey(layers.HostMAC(2).Uint64(), l.B(), 0)
 	if tb.Len() != 3 {
 		t.Fatalf("Len = %d after re-learn, want 3", tb.Len())
 	}
-	if p, ok := tb.Lookup(layers.HostMAC(1), 0); !ok || p != l.A() {
+	if e, ok := tb.GetKey(layers.HostMAC(1).Uint64(), 0); !ok || e.Port != l.A() {
 		t.Fatal("re-learned entry on flushed port not visible")
 	}
 	// A second flush kills only the re-learned entry on A.
 	tb.FlushPort(l.A())
-	if _, ok := tb.Lookup(layers.HostMAC(1), 0); ok {
+	if _, ok := tb.GetKey(layers.HostMAC(1).Uint64(), 0); ok {
 		t.Fatal("second flush missed the re-learned entry")
 	}
-	if _, ok := tb.Lookup(layers.HostMAC(2), 0); !ok {
+	if _, ok := tb.GetKey(layers.HostMAC(2).Uint64(), 0); !ok {
 		t.Fatal("second flush overreached onto port B")
 	}
-	// FlushExpired clears every corpse from the map itself.
+	// FlushExpired reclaims every corpse.
 	tb.FlushExpired(0)
-	if len(tb.entries) != 2 {
-		t.Fatalf("map holds %d entries after sweep, want 2", len(tb.entries))
+	if tb.Entries() != 2 {
+		t.Fatalf("table stores %d entries after sweep, want 2", tb.Entries())
 	}
 }
 
 func TestSetAgingValidation(t *testing.T) {
-	tb := NewTable(time.Second)
+	tb := newFIB(time.Second)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-positive aging accepted")
 		}
 	}()
-	tb.SetAging(0)
+	tb.SetLearnedTimeout(0)
 }
 
 // Property: the table never returns an expired entry and never holds more
@@ -308,7 +315,7 @@ func TestQuickTableConsistency(t *testing.T) {
 		PortSel bool
 		AtMs    uint16
 	}) bool {
-		tb := NewTable(time.Second)
+		tb := newFIB(time.Second)
 		now := time.Duration(0)
 		for _, op := range ops {
 			at := time.Duration(op.AtMs) * time.Millisecond
@@ -320,15 +327,15 @@ func TestQuickTableConsistency(t *testing.T) {
 			if op.PortSel {
 				port = ports[1]
 			}
-			tb.Learn(mac, port, now)
-			got, ok := tb.Lookup(mac, now)
-			if !ok || got != port {
+			tb.LearnKey(mac.Uint64(), port, now)
+			got, ok := tb.GetKey(mac.Uint64(), now)
+			if !ok || got.Port != port {
 				return false // a fresh learn must be visible on its port
 			}
-			if _, ok := tb.Lookup(mac, now+2*time.Second); ok {
+			if _, ok := tb.GetKey(mac.Uint64(), now+2*time.Second); ok {
 				return false // must be gone after aging
 			}
-			tb.Learn(mac, port, now) // lookup at future evicted it; restore
+			tb.LearnKey(mac.Uint64(), port, now) // lookup at future evicted it; restore
 		}
 		return true
 	}
@@ -342,15 +349,15 @@ func BenchmarkTableLearnLookup(b *testing.B) {
 	net := netsim.NewNetwork(1)
 	x, y := newEndpoint("a", 1), newEndpoint("b", 2)
 	l := net.Connect(x, y, cfg())
-	tb := NewTable(time.Hour)
-	macs := make([]layers.MAC, 256)
+	tb := newFIB(time.Hour)
+	macs := make([]uint64, 256)
 	for i := range macs {
-		macs[i] = layers.HostMAC(i)
+		macs[i] = layers.HostMAC(i).Uint64()
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := macs[i%len(macs)]
-		tb.Learn(m, l.A(), time.Duration(i))
-		tb.Lookup(m, time.Duration(i))
+		tb.LearnKey(m, l.A(), time.Duration(i))
+		tb.GetKey(m, time.Duration(i))
 	}
 }

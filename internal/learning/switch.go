@@ -1,12 +1,25 @@
+// Package learning implements the classic transparent learning switch: a
+// bridge that learns source MACs into a filtering database with aging and
+// floods unknown destinations. It is both a baseline on its own (safe
+// only on loop-free topologies) and the forwarding core the STP baseline
+// gates with port states.
+//
+// The filtering database is a core.LockTable used in learned-only mode:
+// the switch only ever learns, so no entry is race-guarded and every
+// entry is evictable, and the learned timeout is the aging time.
 package learning
 
 import (
 	"time"
 
 	"repro/internal/bridge"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/tables"
 )
+
+// DefaultAging matches 802.1D's default filtering-database aging time.
+const DefaultAging = 300 * time.Second
 
 // Config tunes a learning switch. It exists mostly so the protocol
 // registry can carry learning-switch settings the same way it carries
@@ -47,7 +60,7 @@ type Stats struct {
 // the tests demonstrate on purpose.
 type Switch struct {
 	*bridge.Chassis
-	fib   *Table
+	fib   *core.LockTable
 	stats Stats
 }
 
@@ -65,12 +78,14 @@ func NewWithConfig(net *netsim.Network, name string, numID int, cfg Config) *Swi
 	}
 	s := &Switch{}
 	s.Chassis = bridge.NewChassis(net, name, numID, s)
-	s.fib = NewBoundedTable(cfg.Aging, bound)
+	// Learned-only: the lock timeout is never used, so it is set to the
+	// aging time too.
+	s.fib = core.NewBoundedLockTable(cfg.Aging, cfg.Aging, bound)
 	return s
 }
 
 // FIB exposes the forwarding table (tests and the STP baseline reuse it).
-func (s *Switch) FIB() *Table { return s.fib }
+func (s *Switch) FIB() *core.LockTable { return s.fib }
 
 // Stats returns a snapshot of the forwarding counters.
 func (s *Switch) ForwardingStats() Stats { return s.stats }
@@ -98,17 +113,17 @@ func (s *Switch) OnFrame(in *netsim.Port, f *netsim.Frame) {
 		s.FloodExcept(in, f)
 		return
 	}
-	out, ok := s.fib.LookupKey(v.DstKey, now)
+	e, ok := s.fib.GetKey(v.DstKey, now)
 	switch {
 	case !ok:
 		s.stats.FloodedUnknown++
 		s.FloodExcept(in, f)
-	case out == in:
+	case e.Port == in:
 		// Destination is on the segment the frame came from: filter.
 		s.stats.Filtered++
 	default:
 		s.stats.Forwarded++
-		out.SendFrame(f)
+		e.Port.SendFrame(f)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/flowpath"
 	"repro/internal/layers"
 	"repro/internal/netsim"
+	"repro/internal/tables"
 	"repro/internal/topo"
 )
 
@@ -328,7 +329,7 @@ func (c *Checker) CheckTables() {
 	now := c.built.Now()
 	owners := c.hostByMAC()
 	c.checkMACTables(now, owners)
-	c.checkPairTables(now, owners)
+	c.checkFlowPairs(now, owners)
 	c.checkConnTables(now)
 }
 
@@ -368,39 +369,28 @@ func (c *Checker) checkChains(what string, hops map[string]string, wantHost stri
 // checkMACTables walks the per-destination MAC entries of every bridge
 // exposing an ARP-Path locking table.
 func (c *Checker) checkMACTables(now time.Duration, owners map[uint64]string) {
-	nextHop := make(map[layers.MAC]map[string]string)
-	macs := make([]layers.MAC, 0)
-	for _, br := range c.built.Bridges {
-		cb, ok := br.(coreTabler)
-		if !ok {
-			continue
-		}
-		for mac, e := range cb.Table().Snapshot(now) {
-			m := nextHop[mac]
-			if m == nil {
-				m = make(map[string]string)
-				nextHop[mac] = m
-				macs = append(macs, mac)
+	c.checkKeyedTables(
+		func(br topo.Bridge) map[tables.Key]core.Entry {
+			if cb, ok := br.(coreTabler); ok {
+				return cb.Table().Snapshot(now)
 			}
-			m[br.Name()] = e.Port.Peer().Node().Name()
-		}
-	}
-	sort.Slice(macs, func(i, j int) bool { return macs[i].Uint64() < macs[j].Uint64() })
-	for _, mac := range macs {
-		c.checkChains(mac.String(), nextHop[mac], owners[mac.Uint64()])
-	}
+			return nil
+		},
+		func(k tables.Key) string { return layers.MACFromUint64(k.Hi).String() },
+		func(k tables.Key) string { return owners[k.Hi] },
+	)
 }
 
 // checkKeyedTables gathers one keyed snapshot family across all bridges
 // (nil where a bridge keeps no such table) and walks every key's chains:
 // acyclic always, ending at the key's owner where one exists.
 func (c *Checker) checkKeyedTables(
-	snapshot func(topo.Bridge) map[flowpath.PairKey]flowpath.Entry,
-	what func(flowpath.PairKey) string,
-	owner func(flowpath.PairKey) string,
+	snapshot func(topo.Bridge) map[tables.Key]core.Entry,
+	what func(tables.Key) string,
+	owner func(tables.Key) string,
 ) {
-	nextHop := make(map[flowpath.PairKey]map[string]string)
-	keys := make([]flowpath.PairKey, 0)
+	nextHop := make(map[tables.Key]map[string]string)
+	keys := make([]tables.Key, 0)
 	for _, br := range c.built.Bridges {
 		for k, e := range snapshot(br) {
 			m := nextHop[k]
@@ -423,21 +413,21 @@ func (c *Checker) checkKeyedTables(
 	}
 }
 
-// checkPairTables walks the directed pair entries of flowpath bridges:
+// checkFlowPairs walks the directed pair entries of flowpath bridges:
 // every (src, dst) pair's chain must be acyclic and, when it reaches a
 // host, reach dst's owner.
-func (c *Checker) checkPairTables(now time.Duration, owners map[uint64]string) {
+func (c *Checker) checkFlowPairs(now time.Duration, owners map[uint64]string) {
 	c.checkKeyedTables(
-		func(br topo.Bridge) map[flowpath.PairKey]flowpath.Entry {
+		func(br topo.Bridge) map[tables.Key]core.Entry {
 			if fb, ok := br.(*flowpath.Bridge); ok {
 				return fb.Pairs().Snapshot(now)
 			}
 			return nil
 		},
-		func(k flowpath.PairKey) string {
+		func(k tables.Key) string {
 			return fmt.Sprintf("pair %v->%v", layers.MACFromUint64(k.Hi), layers.MACFromUint64(k.Lo))
 		},
-		func(k flowpath.PairKey) string { return owners[k.Lo] },
+		func(k tables.Key) string { return owners[k.Lo] },
 	)
 }
 
@@ -445,14 +435,14 @@ func (c *Checker) checkPairTables(now time.Duration, owners map[uint64]string) {
 // no single host owner to assert, so only the no-cycle half applies.
 func (c *Checker) checkConnTables(now time.Duration) {
 	c.checkKeyedTables(
-		func(br topo.Bridge) map[flowpath.PairKey]flowpath.Entry {
+		func(br topo.Bridge) map[tables.Key]core.Entry {
 			if tb, ok := br.(*flowpath.TCPPath); ok {
 				return tb.Conns().Snapshot(now)
 			}
 			return nil
 		},
-		func(k flowpath.PairKey) string { return fmt.Sprintf("conn %x/%x", k.Hi, k.Lo) },
-		func(flowpath.PairKey) string { return "" },
+		func(k tables.Key) string { return fmt.Sprintf("conn %x/%x", k.Hi, k.Lo) },
+		func(tables.Key) string { return "" },
 	)
 }
 

@@ -43,8 +43,8 @@ func corruptRing(t *testing.T, built *topo.Built) {
 		{"S4", "S4-S1", "S3-S4"},
 	} {
 		tbl := built.ARPPathBridge(hop[0]).Table()
-		tbl.Learn(dst, ringPort(t, built, hop[1], hop[0]), now)
-		tbl.Learn(src, ringPort(t, built, hop[2], hop[0]), now)
+		tbl.LearnKey(dst.Uint64(), ringPort(t, built, hop[1], hop[0]), now)
+		tbl.LearnKey(src.Uint64(), ringPort(t, built, hop[2], hop[0]), now)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/bridge"
+	"repro/internal/core"
 	"repro/internal/layers"
 	"repro/internal/learning"
 	"repro/internal/netsim"
@@ -190,7 +191,7 @@ type Bridge struct {
 	*bridge.Chassis
 	id     layers.BridgeID
 	timers Timers
-	fib    *learning.Table
+	fib    *core.LockTable // learned-only: see package learning
 	ports  map[*netsim.Port]*port
 	plist  []*port // cabling order, for deterministic iteration
 
@@ -211,9 +212,10 @@ type Bridge struct {
 // election; 0x8000 is the standard default, making the election fall to
 // the lowest MAC — the paper's "tree rooted at an arbitrary switch").
 func New(net *netsim.Network, name string, numID int, priority uint16, timers Timers) *Bridge {
+	aging := timers.WithDefaults().Aging
 	b := &Bridge{
 		timers: timers,
-		fib:    learning.NewTable(timers.Aging),
+		fib:    core.NewLockTable(aging, aging),
 		ports:  make(map[*netsim.Port]*port),
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, b)
@@ -226,7 +228,7 @@ func New(net *netsim.Network, name string, numID int, priority uint16, timers Ti
 func (b *Bridge) ID() layers.BridgeID { return b.id }
 
 // FIB exposes the forwarding table.
-func (b *Bridge) FIB() *learning.Table { return b.fib }
+func (b *Bridge) FIB() *core.LockTable { return b.fib }
 
 // Stats returns a snapshot of the counters.
 func (b *Bridge) Stats() Stats { return b.stats }
@@ -387,7 +389,8 @@ func (b *Bridge) forward(in *netsim.Port, f *netsim.Frame) {
 		b.floodForwarding(in, f)
 		return
 	}
-	out, ok := b.fib.LookupKey(v.DstKey, now)
+	e, ok := b.fib.GetKey(v.DstKey, now)
+	out := e.Port
 	if ok && b.ports[out] != nil && b.ports[out].state != StateForwarding {
 		ok = false // stale binding behind a non-forwarding port
 	}
@@ -620,7 +623,7 @@ func (b *Bridge) enterFastAging() {
 	}
 	if !b.fastAging {
 		b.fastAging = true
-		b.fib.SetAging(b.timers.ForwardDelay)
+		b.fib.SetLearnedTimeout(b.timers.ForwardDelay)
 		b.fib.FlushExpired(now)
 	}
 }
@@ -629,7 +632,7 @@ func (b *Bridge) enterFastAging() {
 func (b *Bridge) maybeRestoreAging(now time.Duration) {
 	if b.fastAging && now >= b.tcDeadline {
 		b.fastAging = false
-		b.fib.SetAging(b.timers.Aging)
+		b.fib.SetLearnedTimeout(b.timers.Aging)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 1) })
 	net.RunFor(time.Second)
 
-	normal := bs[1].FIB().Aging()
+	normal := agingOf(bs[1])
 	// Cut a forwarding ring link → TC propagates → fast aging at the
 	// bridges that hear the root's TC flag.
 	var cut *netsim.Link
@@ -81,7 +81,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.RunFor(10 * time.Second)
 	fastSeen := false
 	for _, b := range bs {
-		if b.FIB().Aging() == timers.ForwardDelay {
+		if agingOf(b) == timers.ForwardDelay {
 			fastSeen = true
 		}
 	}
@@ -94,10 +94,21 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 2) })
 	net.RunFor(5 * time.Second)
 	for _, b := range bs {
-		if got := b.FIB().Aging(); got != normal {
+		if got := agingOf(b); got != normal {
 			t.Fatalf("%s aging = %v after TC period, want %v", b.Name(), got, normal)
 		}
 	}
+}
+
+// agingOf reports the lifetime b's filtering database gives a fresh
+// learn now, by learning and then deleting a probe address.
+func agingOf(b *Bridge) time.Duration {
+	probe := layers.HostMAC(0xFFFF).Uint64()
+	now := b.Now()
+	b.FIB().LearnKey(probe, b.Ports()[0], now)
+	e, _ := b.FIB().GetKey(probe, now)
+	b.FIB().DeleteKey(probe)
+	return e.Expires - now
 }
 
 // TestBPDUIgnoredOnDownPort: BPDUs that arrive racing a link-down event

@@ -1,19 +1,27 @@
 package tables
 
-// Map is a compact open-addressing hash table from a non-zero uint64 key
-// (a packed MAC) to V: the software analogue of the NetFPGA bridge's
-// fixed hardware hash table.
+// Key is a forwarding-table key: two 64-bit words. MAC tables store the
+// packed address (layers.MAC.Uint64) in Hi with Lo = 0; Flow-Path pair
+// keys pack the source and destination MACs, TCP-Path connection keys
+// the IPv4 addresses and the TCP ports. The zero Key is reserved.
+type Key struct {
+	Hi, Lo uint64
+}
+
+// Map is a compact open-addressing hash table from a non-zero Key to V:
+// the software analogue of the NetFPGA bridge's fixed hardware hash
+// table.
 //
 // Layout: entries live in two dense arrays, keys and vals, and an index
 // array of int32 slots maps a key's hash position to its dense index.
 // Slots use linear probing at load ≤ 1/2 and backward-shift deletion
 // (no tombstones); the dense arrays use swap-remove, so they stay packed
 // and a resident entry costs its key, its value and two to four slot
-// words. Dense index 0 is a sentinel holding key 0 and a zero value: an
-// empty slot is simply slot value 0, so a probe ends on either a key
-// match or the sentinel with one comparison per slot, and key 0 — which
-// no table stores (LockKey/LearnKey reject the zero MAC) — always reads
-// as absent.
+// words. Dense index 0 is a sentinel holding the zero Key and a zero
+// value: an empty slot is simply slot value 0, so a probe ends on either
+// a key match or the sentinel with one comparison per slot, and the zero
+// Key — which no table stores (core.LockTable's writes skip it) — always
+// reads as absent.
 //
 // Dense indices are stable until the next Insert or Delete. Iterating
 // dense indices from Len down to 1 and deleting as it goes is safe: a
@@ -22,11 +30,11 @@ package tables
 // Determinism: layout and iteration order are pure functions of the
 // operation sequence; nothing depends on Go map order or addresses.
 type Map[V any] struct {
-	slots []int32  // dense index per slot; 0 = empty
-	keys  []uint64 // keys[0] = 0 is the sentinel
-	vals  []V      // vals[0] is the zero sentinel
-	shift uint8    // 64 - log2(len(slots))
-	bound int      // expected maximum Len, 0 if none: caps dense growth
+	slots []int32 // dense index per slot; 0 = empty
+	keys  []Key   // keys[0] = Key{} is the sentinel
+	vals  []V     // vals[0] is the zero sentinel
+	shift uint8   // 64 - log2(len(slots))
+	bound int     // expected maximum Len, 0 if none: caps dense growth
 }
 
 // minSlots is the smallest index array (a power of two).
@@ -39,7 +47,7 @@ const minSlots = 8
 // pays for its capacity. Growth past bound falls back to doubling.
 func NewMap[V any](bound int) *Map[V] {
 	m := &Map[V]{
-		keys:  make([]uint64, 1, 2),
+		keys:  make([]Key, 1, 2),
 		vals:  make([]V, 1, 2),
 		bound: max(bound, 0),
 	}
@@ -57,9 +65,12 @@ func (m *Map[V]) setSlots(n int) {
 }
 
 // home returns key's home slot (Fibonacci hashing: the high bits of the
-// product mix every key bit, which the low-entropy packed MACs need).
-func (m *Map[V]) home(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> m.shift)
+// product mix every key bit, which the low-entropy packed MACs need). Lo
+// is multiplied by a second odd constant before it is folded into Hi, so
+// the halves of a pair key do not cancel; a MAC key (Lo = 0) hashes
+// exactly as its packed address alone.
+func (m *Map[V]) home(key Key) int {
+	return int(((key.Hi ^ key.Lo*0xC2B2AE3D27D4EB4F) * 0x9E3779B97F4A7C15) >> m.shift)
 }
 
 // Len returns the number of stored entries.
@@ -68,7 +79,7 @@ func (m *Map[V]) Len() int { return len(m.keys) - 1 }
 // Find returns key's dense index, or 0 when key is absent (or zero).
 //
 //fabric:hotpath
-func (m *Map[V]) Find(key uint64) int32 {
+func (m *Map[V]) Find(key Key) int32 {
 	mask := len(m.slots) - 1
 	for s := m.home(key); ; s = (s + 1) & mask {
 		i := m.slots[s]
@@ -79,7 +90,7 @@ func (m *Map[V]) Find(key uint64) int32 {
 }
 
 // Key returns the key at dense index i.
-func (m *Map[V]) Key(i int32) uint64 { return m.keys[i] }
+func (m *Map[V]) Key(i int32) Key { return m.keys[i] }
 
 // Val returns the value at dense index i for in-place rewriting. The
 // pointer is invalidated by the next Insert or Delete.
@@ -89,8 +100,8 @@ func (m *Map[V]) Val(i int32) *V { return &m.vals[i] }
 
 // Insert stores v under key and returns its dense index. key must be
 // non-zero and absent (callers Find first).
-func (m *Map[V]) Insert(key uint64, v V) int32 {
-	if key == 0 {
+func (m *Map[V]) Insert(key Key, v V) int32 {
+	if key == (Key{}) {
 		panic("tables: Map.Insert of the reserved zero key")
 	}
 	if 2*len(m.keys) > len(m.slots) {
@@ -128,12 +139,19 @@ func (m *Map[V]) grow() {
 // growDense doubles the dense arrays' capacity, clamped to the bound
 // (plus the sentinel) while they are below it.
 func (m *Map[V]) growDense() {
-	n := 2 * cap(m.keys)
-	if limit := m.bound + 1; cap(m.keys) < limit && n > limit {
+	m.keys = grow(m.keys, m.bound+1)
+	m.vals = grow(m.vals, m.bound+1)
+}
+
+// grow returns a copy of s with doubled capacity, clamped to limit while
+// s is below it: a bounded table's arrays stop at exactly their bound
+// and resume doubling only past it.
+func grow[T any](s []T, limit int) []T {
+	n := 2 * cap(s)
+	if cap(s) < limit && n > limit {
 		n = limit
 	}
-	m.keys = append(make([]uint64, 0, n), m.keys...)
-	m.vals = append(make([]V, 0, n), m.vals...)
+	return append(make([]T, 0, n), s...)
 }
 
 // slotOf returns the slot holding dense index i.

@@ -11,7 +11,7 @@ import (
 // position is occupied (linear probing finds it).
 func checkMap[V any](t *testing.T, m *Map[V]) {
 	t.Helper()
-	if len(m.keys) != len(m.vals) || m.keys[0] != 0 {
+	if len(m.keys) != len(m.vals) || m.keys[0] != (Key{}) {
 		t.Fatalf("dense arrays broken: %d keys, %d vals, sentinel %x", len(m.keys), len(m.vals), m.keys[0])
 	}
 	if 2*m.Len() > len(m.slots) {
@@ -40,14 +40,24 @@ func checkMap[V any](t *testing.T, m *Map[V]) {
 	}
 }
 
-// keysWithHome returns n distinct non-zero keys whose home slot in an
-// index of the given size is home.
-func keysWithHome(slots, home, n int) []uint64 {
+// shapes are the two key layouts the tables store: a packed MAC (Lo = 0)
+// and a pair key whose halves share Hi and differ only in Lo.
+var shapes = []struct {
+	name string
+	key  func(j uint64) Key
+}{
+	{"mac", func(j uint64) Key { return Key{Hi: j} }},
+	{"pair", func(j uint64) Key { return Key{Hi: 0x0200_0000_0007, Lo: j} }},
+}
+
+// keysWithHome returns n distinct non-zero keys of the given shape whose
+// home slot in an index of the given size is home.
+func keysWithHome(slots, home, n int, key func(uint64) Key) []Key {
 	probe := NewMap[int](0)
 	probe.setSlots(slots)
-	var out []uint64
-	for k := uint64(1); len(out) < n; k++ {
-		if probe.home(k) == home {
+	var out []Key
+	for j := uint64(1); len(out) < n; j++ {
+		if k := key(j); probe.home(k) == home {
 			out = append(out, k)
 		}
 	}
@@ -55,68 +65,76 @@ func keysWithHome(slots, home, n int) []uint64 {
 }
 
 func TestMapCollisionChain(t *testing.T) {
-	m := NewMap[int](0)
-	keys := keysWithHome(len(m.slots), 2, 4)
-	for j, k := range keys {
-		m.Insert(k, j)
-		checkMap(t, m)
-	}
-	for j, k := range keys {
-		if i := m.Find(k); i == 0 || *m.Val(i) != j {
-			t.Fatalf("chain key %d not found", j)
-		}
-	}
-	// Delete from the middle of the chain: the tail shifts back.
-	m.Delete(m.Find(keys[1]))
-	checkMap(t, m)
-	if m.Find(keys[1]) != 0 {
-		t.Fatal("deleted key still found")
-	}
-	for _, j := range []int{0, 2, 3} {
-		if i := m.Find(keys[j]); i == 0 || *m.Val(i) != j {
-			t.Fatalf("chain key %d lost after middle delete", j)
-		}
-	}
-	if m.Find(0) != 0 {
-		t.Fatal("the reserved zero key must read as absent")
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			m := NewMap[int](0)
+			keys := keysWithHome(len(m.slots), 2, 4, shape.key)
+			for j, k := range keys {
+				m.Insert(k, j)
+				checkMap(t, m)
+			}
+			for j, k := range keys {
+				if i := m.Find(k); i == 0 || *m.Val(i) != j {
+					t.Fatalf("chain key %d not found", j)
+				}
+			}
+			// Delete from the middle of the chain: the tail shifts back.
+			m.Delete(m.Find(keys[1]))
+			checkMap(t, m)
+			if m.Find(keys[1]) != 0 {
+				t.Fatal("deleted key still found")
+			}
+			for _, j := range []int{0, 2, 3} {
+				if i := m.Find(keys[j]); i == 0 || *m.Val(i) != j {
+					t.Fatalf("chain key %d lost after middle delete", j)
+				}
+			}
+			if m.Find(Key{}) != 0 {
+				t.Fatal("the reserved zero key must read as absent")
+			}
+		})
 	}
 }
 
 func TestMapWrapAroundDelete(t *testing.T) {
-	m := NewMap[int](0)
-	last := len(m.slots) - 1
-	// Three keys homed at the last slot wrap into slots 0 and 1; a key
-	// homed at slot 0 lands behind them at slot 2.
-	wrap := keysWithHome(len(m.slots), last, 3)
-	zero := keysWithHome(len(m.slots), 0, 1)[0]
-	for j, k := range append(wrap, zero) {
-		m.Insert(k, j)
-	}
-	checkMap(t, m)
-	if m.slots[0] == 0 || m.slots[1] == 0 || m.slots[2] == 0 {
-		t.Fatalf("probe run did not wrap: slots %v", m.slots)
-	}
-	m.Delete(m.Find(wrap[0])) // the hole opens at the last slot
-	checkMap(t, m)
-	for j, k := range append(wrap[1:], zero) {
-		if i := m.Find(k); i == 0 || *m.Val(i) != j+1 {
-			t.Fatalf("key %x lost after wrap-around delete", k)
-		}
-	}
-	// Every entry moved back one slot, across the boundary: the run now
-	// ends at slot 1 and slot 2 is free again.
-	if m.slots[last] == 0 || m.slots[0] == 0 || m.slots[1] == 0 || m.slots[2] != 0 {
-		t.Fatalf("probe run not shifted back across the wrap: slots %v", m.slots)
-	}
-	if m.keys[m.slots[1]] != zero {
-		t.Fatalf("zero-homed key not at the end of the run: slots %v", m.slots)
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			m := NewMap[int](0)
+			last := len(m.slots) - 1
+			// Three keys homed at the last slot wrap into slots 0 and 1; a
+			// key homed at slot 0 lands behind them at slot 2.
+			wrap := keysWithHome(len(m.slots), last, 3, shape.key)
+			zero := keysWithHome(len(m.slots), 0, 1, shape.key)[0]
+			for j, k := range append(wrap, zero) {
+				m.Insert(k, j)
+			}
+			checkMap(t, m)
+			if m.slots[0] == 0 || m.slots[1] == 0 || m.slots[2] == 0 {
+				t.Fatalf("probe run did not wrap: slots %v", m.slots)
+			}
+			m.Delete(m.Find(wrap[0])) // the hole opens at the last slot
+			checkMap(t, m)
+			for j, k := range append(wrap[1:], zero) {
+				if i := m.Find(k); i == 0 || *m.Val(i) != j+1 {
+					t.Fatalf("key %x lost after wrap-around delete", k)
+				}
+			}
+			// Every entry moved back one slot, across the boundary: the run
+			// now ends at slot 1 and slot 2 is free again.
+			if m.slots[last] == 0 || m.slots[0] == 0 || m.slots[1] == 0 || m.slots[2] != 0 {
+				t.Fatalf("probe run not shifted back across the wrap: slots %v", m.slots)
+			}
+			if m.keys[m.slots[1]] != zero {
+				t.Fatalf("zero-homed key not at the end of the run: slots %v", m.slots)
+			}
+		})
 	}
 }
 
 func TestMapGrowth(t *testing.T) {
 	m := NewMap[uint64](0)
 	for k := uint64(1); k <= 1000; k++ {
-		m.Insert(k*0x10001, k)
+		m.Insert(Key{Hi: k * 0x10001}, k)
 		if k&(k-1) == 0 {
 			checkMap(t, m)
 		}
@@ -126,7 +144,7 @@ func TestMapGrowth(t *testing.T) {
 		t.Fatalf("len %d, %d slots; want 1000 in 2048", m.Len(), len(m.slots))
 	}
 	for k := uint64(1); k <= 1000; k++ {
-		if i := m.Find(k * 0x10001); i == 0 || *m.Val(i) != k {
+		if i := m.Find(Key{Hi: k * 0x10001}); i == 0 || *m.Val(i) != k {
 			t.Fatalf("key %d lost in growth", k)
 		}
 	}
@@ -134,13 +152,13 @@ func TestMapGrowth(t *testing.T) {
 	// sentinel) and resume doubling only past it.
 	p := NewMap[int](128)
 	for k := uint64(1); k <= 128; k++ {
-		p.Insert(k, 0)
+		p.Insert(Key{Hi: k}, 0)
 	}
 	if len(p.slots) != 256 || cap(p.keys) != 129 || cap(p.vals) != 129 {
 		t.Fatalf("full bounded map: %d slots, key cap %d, val cap %d; want 256, 129, 129",
 			len(p.slots), cap(p.keys), cap(p.vals))
 	}
-	p.Insert(129, 0)
+	p.Insert(Key{Hi: 129}, 0)
 	checkMap(t, p)
 	if cap(p.keys) != 258 {
 		t.Fatalf("growth past the bound: key cap %d, want 258", cap(p.keys))
@@ -150,12 +168,12 @@ func TestMapGrowth(t *testing.T) {
 func TestMapDeleteWhileIterating(t *testing.T) {
 	m := NewMap[uint64](0)
 	for k := uint64(1); k <= 200; k++ {
-		m.Insert(k, k)
+		m.Insert(Key{Hi: k}, k)
 	}
 	// Backwards iteration with swap-remove visits every entry exactly once.
 	visited := map[uint64]int{}
 	for i := int32(m.Len()); i > 0; i-- {
-		k := m.Key(i)
+		k := m.Key(i).Hi
 		visited[k]++
 		if k%3 == 0 {
 			m.Delete(i)
@@ -171,28 +189,32 @@ func TestMapDeleteWhileIterating(t *testing.T) {
 		}
 	}
 	for k := uint64(1); k <= 200; k++ {
-		if found := m.Find(k) != 0; found != (k%3 != 0) {
+		if found := m.Find(Key{Hi: k}) != 0; found != (k%3 != 0) {
 			t.Fatalf("key %d present=%v after filtered delete", k, found)
 		}
 	}
 	m.Reset()
 	checkMap(t, m)
-	if m.Len() != 0 || m.Find(1) != 0 {
+	if m.Len() != 0 || m.Find(Key{Hi: 1}) != 0 {
 		t.Fatal("Reset left entries behind")
 	}
 }
 
-// TestMapMatchesModel drives random inserts and deletes against a Go map.
+// TestMapMatchesModel drives random inserts and deletes against a Go map,
+// over MAC-shaped keys and pair keys whose halves may be zero.
 func TestMapMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewMap[int](0)
-	model := map[uint64]int{}
+	model := map[Key]int{}
 	for op := 0; op < 20000; op++ {
-		k := uint64(rng.Intn(512) + 1)
+		k := Key{Hi: uint64(rng.Intn(512) + 1)}
+		if rng.Intn(2) == 0 {
+			k = Key{Hi: uint64(rng.Intn(8)), Lo: uint64(rng.Intn(64) + 1)}
+		}
 		i := m.Find(k)
 		want, ok := model[k]
 		if (i != 0) != ok || (ok && *m.Val(i) != want) {
-			t.Fatalf("op %d: Find(%d) = %d, model has %v", op, k, i, ok)
+			t.Fatalf("op %d: Find(%v) = %d, model has %v", op, k, i, ok)
 		}
 		switch {
 		case ok && rng.Intn(2) == 0:

@@ -1,9 +1,11 @@
-// Package tables provides the shared machinery for the fabric's
-// forwarding tables (core.LockTable, flowpath.PairTable, learning.Table):
-// an eviction policy enum, a capacity/policy Config carried through the
+// Package tables provides the machinery behind the fabric's one
+// forwarding table, core.LockTable, which every protocol uses: ARP-Path
+// and the learning switch and STP with MAC keys, Flow-Path with pair
+// keys and TCP-Path with connection keys. It holds the two-word Key, an
+// eviction policy enum, a capacity/policy Config carried through the
 // protocol codecs, a deterministic recency Tracker implementing LRU and
 // clock (second-chance) victim selection, and Map, the compact
-// open-addressing uint64-keyed store behind core.LockTable.
+// open-addressing Key-indexed store.
 //
 // Determinism contract: victim order is a pure function of the sequence of
 // Insert/Touch/Remove/Reject calls — never of Go map iteration order, the

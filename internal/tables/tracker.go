@@ -5,60 +5,67 @@ package tables
 // operation on a known entry is O(1) with no map lookup.
 type Handle int32
 
-type node[K comparable] struct {
-	key        K
+type node struct {
+	key        Key
 	prev, next int32
 	ref        bool // clock reference bit (second chance)
 }
 
-// Tracker maintains recency order over a set of keys for victim selection.
-// It is an arena of nodes threaded into one circular doubly-linked list
-// through a sentinel at index 0; freed nodes go on a free list (threaded
-// through next) and are reused before the arena grows, so churn at steady
-// occupancy allocates nothing.
+// Tracker maintains recency order over a set of table keys for victim
+// selection. It is an arena of nodes threaded into one circular
+// doubly-linked list through a sentinel at index 0; freed nodes go on a
+// free list (threaded through next) and are reused before the arena
+// grows, so churn at steady occupancy allocates nothing.
 //
 // List order is recency: sentinel.next is the coldest entry (LRU side),
 // sentinel.prev the hottest (MRU side). Under PolicyLRU a Touch relinks to
 // the MRU side; under PolicyClock it just sets the reference bit and the
 // hand does the aging.
-type Tracker[K comparable] struct {
+type Tracker struct {
 	policy Policy
-	nodes  []node[K]
+	limit  int // node arena capacity to stop doubling at: Capacity + sentinel
+	nodes  []node
 	free   int32 // free-list head, 0 = empty
 	hand   int32 // clock hand, 0 = park at LRU side
 	n      int
 }
 
-// NewTracker returns a tracker for the given policy. PolicyTimeout has no
-// victim order; asking for a tracker with it is a programming error.
-func NewTracker[K comparable](p Policy) *Tracker[K] {
-	if p == PolicyTimeout {
+// NewTracker returns a tracker for the table config's policy. Its node
+// arena grows like Map's dense arrays: it doubles, but stops at exactly
+// the config's capacity, so a full bounded table's tracker carries no
+// slack. PolicyTimeout has no victim order; asking for a tracker with it
+// is a programming error.
+func NewTracker(c Config) *Tracker {
+	if c.Policy == PolicyTimeout {
 		panic("tables: NewTracker with PolicyTimeout (timeout tables are untracked)")
 	}
-	t := &Tracker[K]{policy: p}
-	t.nodes = make([]node[K], 1, 64) // index 0 is the sentinel
+	t := &Tracker{policy: c.Policy, limit: c.Capacity + 1}
+	t.nodes = make([]node, 1, 64) // index 0 is the sentinel
 	return t
 }
 
 // Len returns the number of tracked keys.
-func (t *Tracker[K]) Len() int { return t.n }
+func (t *Tracker) Len() int { return t.n }
 
 // Key returns the key stored under h.
-func (t *Tracker[K]) Key(h Handle) K { return t.nodes[h].key }
+func (t *Tracker) Key(h Handle) Key { return t.nodes[h].key }
 
 // alloc takes a node off the free list, growing the arena when empty.
-func (t *Tracker[K]) alloc() int32 {
+func (t *Tracker) alloc() int32 {
 	if t.free != 0 {
 		i := t.free
 		t.free = t.nodes[i].next
 		return i
 	}
-	t.nodes = append(t.nodes, node[K]{})
+	if len(t.nodes) == cap(t.nodes) {
+		t.nodes = grow(t.nodes, t.limit)
+	}
+	t.nodes = append(t.nodes, node{})
 	return int32(len(t.nodes) - 1)
 }
 
 // linkMRU inserts node i at the hot end of the list.
-func (t *Tracker[K]) linkMRU(i int32) {
+func (t *Tracker) linkMRU(i int32) {
 	tail := t.nodes[0].prev
 	t.nodes[i].prev = tail
 	t.nodes[i].next = 0
@@ -67,16 +74,16 @@ func (t *Tracker[K]) linkMRU(i int32) {
 }
 
 // unlink removes node i from the list (not the arena).
-func (t *Tracker[K]) unlink(i int32) {
+func (t *Tracker) unlink(i int32) {
 	p, n := t.nodes[i].prev, t.nodes[i].next
 	t.nodes[p].next = n
 	t.nodes[n].prev = p
 }
 
 // Insert starts tracking k as the most recently used key.
-func (t *Tracker[K]) Insert(k K) Handle {
+func (t *Tracker) Insert(k Key) Handle {
 	i := t.alloc()
-	t.nodes[i] = node[K]{key: k}
+	t.nodes[i] = node{key: k}
 	t.linkMRU(i)
 	t.n++
 	return Handle(i)
@@ -84,7 +91,7 @@ func (t *Tracker[K]) Insert(k K) Handle {
 
 // Touch records a use of h: LRU relinks it hot, clock sets its reference
 // bit and leaves the ring order alone.
-func (t *Tracker[K]) Touch(h Handle) {
+func (t *Tracker) Touch(h Handle) {
 	i := int32(h)
 	if t.policy == PolicyClock {
 		t.nodes[i].ref = true
@@ -98,14 +105,13 @@ func (t *Tracker[K]) Touch(h Handle) {
 }
 
 // Remove stops tracking h and recycles its node.
-func (t *Tracker[K]) Remove(h Handle) {
+func (t *Tracker) Remove(h Handle) {
 	i := int32(h)
 	if t.hand == i {
 		t.hand = t.nodes[i].next // keep the clock hand on a live node
 	}
 	t.unlink(i)
-	var zero K
-	t.nodes[i] = node[K]{key: zero, next: t.free}
+	t.nodes[i] = node{next: t.free}
 	t.free = i
 	t.n--
 }
@@ -119,7 +125,7 @@ func (t *Tracker[K]) Remove(h Handle) {
 // reference bits, and proposes the first unreferenced node; the walk is
 // bounded by 2·Len (one full lap clears every bit, the next node then
 // qualifies).
-func (t *Tracker[K]) Victim() (Handle, bool) {
+func (t *Tracker) Victim() (Handle, bool) {
 	if t.n == 0 {
 		return 0, false
 	}
@@ -148,7 +154,7 @@ func (t *Tracker[K]) Victim() (Handle, bool) {
 // Reject gives the proposed victim a reprieve: LRU relinks it hot (so the
 // next Victim proposes the next-coldest key); clock re-arms its reference
 // bit and advances the hand past it.
-func (t *Tracker[K]) Reject(h Handle) {
+func (t *Tracker) Reject(h Handle) {
 	i := int32(h)
 	if t.policy == PolicyClock {
 		t.nodes[i].ref = true
@@ -160,9 +166,9 @@ func (t *Tracker[K]) Reject(h Handle) {
 }
 
 // Reset forgets every key but keeps the arena for reuse.
-func (t *Tracker[K]) Reset() {
+func (t *Tracker) Reset() {
 	t.nodes = t.nodes[:1]
-	t.nodes[0] = node[K]{}
+	t.nodes[0] = node{}
 	t.free = 0
 	t.hand = 0
 	t.n = 0

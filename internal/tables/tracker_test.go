@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// mk is the MAC-shaped table key for a small integer.
+func mk(i int) Key { return Key{Hi: uint64(i)} }
+
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -57,18 +60,18 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestLRUOrder(t *testing.T) {
-	tr := NewTracker[int](PolicyLRU)
+	tr := NewTracker(Config{Policy: PolicyLRU})
 	h := map[int]Handle{}
 	for i := 1; i <= 4; i++ {
-		h[i] = tr.Insert(i)
+		h[i] = tr.Insert(mk(i))
 	}
 	tr.Touch(h[1]) // order now 2,3,4,1 cold→hot
 
 	want := []int{2, 3, 4, 1}
 	for _, k := range want {
 		v, ok := tr.Victim()
-		if !ok || tr.Key(v) != k {
-			t.Fatalf("victim: got %d ok=%v, want %d", tr.Key(v), ok, k)
+		if !ok || tr.Key(v) != mk(k) {
+			t.Fatalf("victim: got %v ok=%v, want %d", tr.Key(v), ok, k)
 		}
 		tr.Remove(v)
 	}
@@ -78,59 +81,59 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestLRURejectMovesOn(t *testing.T) {
-	tr := NewTracker[int](PolicyLRU)
-	a := tr.Insert(1)
-	tr.Insert(2)
+	tr := NewTracker(Config{Policy: PolicyLRU})
+	a := tr.Insert(mk(1))
+	tr.Insert(mk(2))
 	v, _ := tr.Victim()
 	if v != a {
 		t.Fatalf("expected 1 coldest")
 	}
 	tr.Reject(v)
 	v2, _ := tr.Victim()
-	if tr.Key(v2) != 2 {
-		t.Fatalf("after reject, victim = %d, want 2", tr.Key(v2))
+	if tr.Key(v2) != mk(2) {
+		t.Fatalf("after reject, victim = %v, want 2", tr.Key(v2))
 	}
 }
 
 func TestClockSecondChance(t *testing.T) {
-	tr := NewTracker[int](PolicyClock)
+	tr := NewTracker(Config{Policy: PolicyClock})
 	h := map[int]Handle{}
 	for i := 1; i <= 3; i++ {
-		h[i] = tr.Insert(i)
+		h[i] = tr.Insert(mk(i))
 	}
 	tr.Touch(h[1]) // 1 gets a second chance
 
 	v, ok := tr.Victim()
-	if !ok || tr.Key(v) != 2 {
-		t.Fatalf("clock victim = %d, want 2 (1 is referenced)", tr.Key(v))
+	if !ok || tr.Key(v) != mk(2) {
+		t.Fatalf("clock victim = %v, want 2 (1 is referenced)", tr.Key(v))
 	}
 	tr.Remove(v)
 	// 1's bit was cleared by the pass above; next victim is 3 only if the
 	// hand moved past 1. The hand sits where the last victim was found, so
 	// the walk resumes from 3: 3 unreferenced → victim.
 	v, _ = tr.Victim()
-	if tr.Key(v) != 3 {
-		t.Fatalf("clock victim = %d, want 3", tr.Key(v))
+	if tr.Key(v) != mk(3) {
+		t.Fatalf("clock victim = %v, want 3", tr.Key(v))
 	}
 	tr.Remove(v)
 	v, _ = tr.Victim()
-	if tr.Key(v) != 1 {
-		t.Fatalf("clock victim = %d, want 1", tr.Key(v))
+	if tr.Key(v) != mk(1) {
+		t.Fatalf("clock victim = %v, want 1", tr.Key(v))
 	}
 }
 
 func TestClockRejectAdvancesHand(t *testing.T) {
-	tr := NewTracker[int](PolicyClock)
-	a := tr.Insert(1)
-	tr.Insert(2)
+	tr := NewTracker(Config{Policy: PolicyClock})
+	a := tr.Insert(mk(1))
+	tr.Insert(mk(2))
 	v, _ := tr.Victim()
 	if v != a {
 		t.Fatal("expected 1 first")
 	}
 	tr.Reject(v) // re-arms 1, hand moves to 2
 	v2, _ := tr.Victim()
-	if tr.Key(v2) != 2 {
-		t.Fatalf("after reject, victim = %d, want 2", tr.Key(v2))
+	if tr.Key(v2) != mk(2) {
+		t.Fatalf("after reject, victim = %v, want 2", tr.Key(v2))
 	}
 }
 
@@ -140,13 +143,13 @@ func TestClockRejectAdvancesHand(t *testing.T) {
 // state.
 func TestTrackerChurnReusesArena(t *testing.T) {
 	for _, p := range []Policy{PolicyLRU, PolicyClock} {
-		tr := NewTracker[uint64](p)
+		tr := NewTracker(Config{Policy: p})
 		live := []Handle{}
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 20000; i++ {
 			switch {
 			case len(live) < 64:
-				live = append(live, tr.Insert(uint64(i)))
+				live = append(live, tr.Insert(mk(i)))
 			default:
 				j := rng.Intn(len(live))
 				switch rng.Intn(3) {
@@ -167,7 +170,7 @@ func TestTrackerChurnReusesArena(t *testing.T) {
 			t.Fatalf("%v: arena grew to %d nodes for 64 live keys", p, got)
 		}
 		// Exhaustive drain must return every live key exactly once.
-		seen := map[uint64]bool{}
+		seen := map[Key]bool{}
 		for tr.Len() > 0 {
 			v, ok := tr.Victim()
 			if !ok {
@@ -175,7 +178,7 @@ func TestTrackerChurnReusesArena(t *testing.T) {
 			}
 			k := tr.Key(v)
 			if seen[k] {
-				t.Fatalf("%v: key %d proposed twice", p, k)
+				t.Fatalf("%v: key %v proposed twice", p, k)
 			}
 			seen[k] = true
 			tr.Remove(v)
@@ -187,16 +190,33 @@ func TestTrackerChurnReusesArena(t *testing.T) {
 }
 
 func TestTrackerReset(t *testing.T) {
-	tr := NewTracker[int](PolicyLRU)
+	tr := NewTracker(Config{Policy: PolicyLRU})
 	for i := 0; i < 10; i++ {
-		tr.Insert(i)
+		tr.Insert(mk(i))
 	}
 	tr.Reset()
 	if tr.Len() != 0 {
 		t.Fatal("reset should empty the tracker")
 	}
-	h := tr.Insert(42)
-	if v, ok := tr.Victim(); !ok || v != h || tr.Key(v) != 42 {
+	h := tr.Insert(mk(42))
+	if v, ok := tr.Victim(); !ok || v != h || tr.Key(v) != mk(42) {
 		t.Fatal("tracker unusable after reset")
+	}
+}
+
+// TestTrackerArenaStopsAtCapacity: a bounded tracker's node arena stops
+// doubling at exactly the capacity (plus the sentinel), as Map's dense
+// arrays do, and resumes doubling only past it.
+func TestTrackerArenaStopsAtCapacity(t *testing.T) {
+	tr := NewTracker(Config{Capacity: 100, Policy: PolicyLRU})
+	for i := 1; i <= 100; i++ {
+		tr.Insert(mk(i))
+	}
+	if cap(tr.nodes) != 101 {
+		t.Fatalf("full tracker: arena cap %d, want 101", cap(tr.nodes))
+	}
+	tr.Insert(mk(101))
+	if cap(tr.nodes) != 202 {
+		t.Fatalf("growth past the capacity: arena cap %d, want 202", cap(tr.nodes))
 	}
 }

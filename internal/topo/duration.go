@@ -15,6 +15,17 @@ type Duration time.Duration
 // D converts back to the standard library type.
 func (d Duration) D() time.Duration { return time.Duration(d) }
 
+// NonNegative rejects a negative duration, naming the config field it
+// came from; zero stays legal and means "use the default". Protocol
+// config decoders run every duration field through it, so a negative
+// timer is a decode error instead of a panic deep inside a run.
+func (d Duration) NonNegative(field string) error {
+	if d < 0 {
+		return fmt.Errorf("%s: negative duration %v (omit the field or use 0 for the default)", field, time.Duration(d))
+	}
+	return nil
+}
+
 // String renders like time.Duration.
 func (d Duration) String() string { return time.Duration(d).String() }
 

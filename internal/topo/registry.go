@@ -3,6 +3,7 @@ package topo
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -149,6 +150,14 @@ func init() {
 					return nil, err
 				}
 			}
+			if err := errors.Join(
+				j.LockTimeout.NonNegative("lock_timeout"),
+				j.LearnedTimeout.NonNegative("learned_timeout"),
+				j.RepairTimeout.NonNegative("repair_timeout"),
+				j.ProxyTimeout.NonNegative("proxy_timeout"),
+			); err != nil {
+				return nil, err
+			}
 			if _, err := tables.ParseConfig(j.TableCapacity, j.TablePolicy); err != nil {
 				return nil, err
 			}
@@ -202,6 +211,15 @@ func init() {
 					return nil, err
 				}
 			}
+			if err := errors.Join(
+				j.Hello.NonNegative("hello"),
+				j.MaxAge.NonNegative("max_age"),
+				j.ForwardDelay.NonNegative("forward_delay"),
+				j.MsgAgeIncrement.NonNegative("msg_age_increment"),
+				j.Aging.NonNegative("aging"),
+			); err != nil {
+				return nil, err
+			}
 			return &stp.Timers{
 				Hello:           j.Hello.D(),
 				MaxAge:          j.MaxAge.D(),
@@ -239,6 +257,9 @@ func init() {
 				if err := strictUnmarshal(raw, &j); err != nil {
 					return nil, err
 				}
+			}
+			if err := j.Aging.NonNegative("aging"); err != nil {
+				return nil, err
 			}
 			if _, err := tables.ParseConfig(j.TableCapacity, j.TablePolicy); err != nil {
 				return nil, err

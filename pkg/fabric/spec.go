@@ -79,7 +79,8 @@ type TopologySpec struct {
 	RingSize int `json:"ring_size,omitempty"`
 	// Degree is the random-regular trunk degree.
 	Degree int `json:"degree,omitempty"`
-	// ExtraEdges is the random family's loop budget (N when omitted).
+	// ExtraEdges is the random family's loop budget (N when omitted; a
+	// negative budget adds no extra edge, so the fabric is a tree).
 	ExtraEdges int `json:"extra_edges,omitempty"`
 	// P is the Erdős–Rényi edge probability.
 	P float64 `json:"p,omitempty"`

@@ -110,6 +110,59 @@ func TestSpecUnknownNamesRejected(t *testing.T) {
 	}
 }
 
+// negativeDurationSpecs are protocol configs with one negative timer
+// each, and the field the decode error must name. Unchecked, the first
+// three panic inside Runner.Run and the learning aging silently becomes
+// the default.
+var negativeDurationSpecs = []struct{ protocol, config, field string }{
+	{"arppath", `{"lock_timeout":"-5ms"}`, "lock_timeout"},
+	{"flowpath", `{"pair_timeout":"-1s"}`, "pair_timeout"},
+	{"stp", `{"forward_delay":"-1s"}`, "forward_delay"},
+	{"learning", `{"aging":"-1s"}`, "aging"},
+	{"arppath", `{"learned_timeout":-1}`, "learned_timeout"},
+	{"arppath", `{"repair_timeout":"-1ms"}`, "repair_timeout"},
+	{"arppath", `{"proxy_timeout":"-1ms"}`, "proxy_timeout"},
+	{"flowpath", `{"lock_timeout":"-1ms"}`, "lock_timeout"},
+	{"flowpath", `{"host_timeout":"-1ms"}`, "host_timeout"},
+	{"flowpath", `{"repair_timeout":"-1ms"}`, "repair_timeout"},
+	{"tcppath", `{"conn_lock_timeout":"-1ms"}`, "conn_lock_timeout"},
+	{"tcppath", `{"conn_timeout":"-1ms"}`, "conn_timeout"},
+	{"stp", `{"hello":"-1s"}`, "hello"},
+	{"stp", `{"max_age":"-1s"}`, "max_age"},
+	{"stp", `{"msg_age_increment":"-1s"}`, "msg_age_increment"},
+	{"stp", `{"aging":"-1s"}`, "aging"},
+}
+
+func negativeDurationDoc(protocol, config string) []byte {
+	return []byte(`{"protocol":{"name":"` + protocol + `","config":` + config + `}}`)
+}
+
+// TestSpecRejectsNegativeDurations: every protocol decoder rejects a
+// negative timer with an error naming the field, while zero still means
+// "use the default".
+func TestSpecRejectsNegativeDurations(t *testing.T) {
+	for _, c := range negativeDurationSpecs {
+		t.Run(c.protocol+"/"+c.field, func(t *testing.T) {
+			s, err := DecodeSpec(negativeDurationDoc(c.protocol, c.config))
+			if err != nil {
+				t.Fatalf("outer decode failed: %v", err)
+			}
+			_, err = s.WithDefaults()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("negative %s accepted or unnamed: %v", c.field, err)
+			}
+			zero := `{"` + c.field + `":"0s"}`
+			s, err = DecodeSpec(negativeDurationDoc(c.protocol, zero))
+			if err != nil {
+				t.Fatalf("outer decode of %s failed: %v", zero, err)
+			}
+			if _, err := s.WithDefaults(); err != nil {
+				t.Fatalf("zero %s (the default) rejected: %v", c.field, err)
+			}
+		})
+	}
+}
+
 // TestSpecOptionsMatchesDefaultOptions pins that the Spec path compiles
 // to exactly the Options the imperative path has always produced — the
 // hinge of the cmds' byte-identical guarantee.
@@ -164,6 +217,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{}`))
+	for _, c := range negativeDurationSpecs {
+		f.Add(negativeDurationDoc(c.protocol, c.config))
+	}
 	f.Add([]byte(`{"workload":{"kind":"sweep"},"scenario":{"faults":["all"]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(data)

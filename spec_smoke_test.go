@@ -33,6 +33,9 @@ func TestSpecSmoke(t *testing.T) {
 		// registry, not the cmd, is what selects the protocol.
 		{cmd: "arppath-sim", spec: "flowpath"},
 		{cmd: "arppath-sim", spec: "tcppath"},
+		// The learning switch on a loop-free fabric (a random tree), with
+		// an aging time short enough that entries expire mid-run.
+		{cmd: "arppath-sim", spec: "learning"},
 	}
 	for _, c := range cases {
 		c := c

@@ -32,6 +32,8 @@ func TestTrackedTablesReproduceGoldens(t *testing.T) {
 		{"flowpath", map[string]any{"pair_policy": "clock"}},
 		{"tcppath", map[string]any{"conn_policy": "lru"}},
 		{"tcppath", map[string]any{"conn_policy": "clock"}},
+		{"learning", map[string]any{"table_policy": "lru"}},
+		{"learning", map[string]any{"table_policy": "clock"}},
 	}
 	for _, c := range cases {
 		c := c

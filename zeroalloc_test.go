@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flowpath"
 	hostpkg "repro/internal/host"
 	"repro/internal/host/app"
 	"repro/internal/learning"
@@ -113,9 +112,10 @@ func TestHostTransmitDoesNotAllocate(t *testing.T) {
 }
 
 // TestBoundedTableChurnDoesNotAllocate extends the gate to the bounded
-// forwarding tables (DESIGN.md §12): steady-state churn — a fresh key
+// forwarding table (DESIGN.md §12): steady-state churn — a fresh key
 // into a full table, forcing an eviction and recycling a tracker node —
-// must not allocate in any of the three tables, under either policy. The
+// must not allocate at either key width (packed MACs, pair keys) nor in
+// the learning switch's learned-only use, under either policy. The
 // tracker's slice-arena free list and the map's delete-then-insert
 // balance are what make a million-conversation run flat.
 func TestBoundedTableChurnDoesNotAllocate(t *testing.T) {
@@ -143,23 +143,27 @@ func TestBoundedTableChurnDoesNotAllocate(t *testing.T) {
 				t.Fatalf("bounded LockTable churn allocates %.2f/op, want 0", allocs)
 			}
 		})
-		t.Run("PairTable/"+policy.String(), func(t *testing.T) {
-			tb := flowpath.NewBoundedPairTable(time.Millisecond, time.Hour, bound, false)
+		t.Run("PairKey/"+policy.String(), func(t *testing.T) {
+			tb := core.NewBoundedLockTable(time.Millisecond, time.Hour, bound)
 			now, key := 10*time.Millisecond, uint64(1)<<32
 			churn := func() {
 				key++
 				now += 2 * time.Millisecond
-				tb.Learn(flowpath.PairKey{Hi: key, Lo: key ^ 0xFFFF}, port, now)
+				tb.Learn(tables.Key{Hi: key, Lo: key ^ 0xFFFF}, port, now)
 			}
 			for i := 0; i < 2048; i++ {
 				churn()
 			}
 			if allocs := testing.AllocsPerRun(2000, churn); allocs != 0 {
-				t.Fatalf("bounded PairTable churn allocates %.2f/op, want 0", allocs)
+				t.Fatalf("bounded pair-key LockTable churn allocates %.2f/op, want 0", allocs)
 			}
 		})
 		t.Run("LearningTable/"+policy.String(), func(t *testing.T) {
-			tb := learning.NewBoundedTable(time.Hour, bound)
+			// The learning switch's filtering database: learned-only.
+			sw := learning.NewWithConfig(net, "sw-"+policy.String(), 3, learning.Config{
+				Aging: time.Hour, TableCapacity: bound.Capacity, TablePolicy: policy.String(),
+			})
+			tb := sw.FIB()
 			now, key := 10*time.Millisecond, uint64(1)<<32
 			churn := func() {
 				key++
@@ -170,7 +174,7 @@ func TestBoundedTableChurnDoesNotAllocate(t *testing.T) {
 				churn()
 			}
 			if allocs := testing.AllocsPerRun(2000, churn); allocs != 0 {
-				t.Fatalf("bounded learning.Table churn allocates %.2f/op, want 0", allocs)
+				t.Fatalf("bounded learning-switch table churn allocates %.2f/op, want 0", allocs)
 			}
 		})
 	}
