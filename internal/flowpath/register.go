@@ -77,10 +77,10 @@ func init() {
 				}
 			}
 			if err := errors.Join(
-				j.LockTimeout.NonNegative("lock_timeout"),
-				j.PairTimeout.NonNegative("pair_timeout"),
-				j.HostTimeout.NonNegative("host_timeout"),
-				j.RepairTimeout.NonNegative("repair_timeout"),
+				j.LockTimeout.InRange("lock_timeout"),
+				j.PairTimeout.InRange("pair_timeout"),
+				j.HostTimeout.InRange("host_timeout"),
+				j.RepairTimeout.InRange("repair_timeout"),
 			); err != nil {
 				return nil, err
 			}
@@ -130,8 +130,8 @@ func init() {
 				}
 			}
 			if err := errors.Join(
-				j.ConnLockTimeout.NonNegative("conn_lock_timeout"),
-				j.ConnTimeout.NonNegative("conn_timeout"),
+				j.ConnLockTimeout.InRange("conn_lock_timeout"),
+				j.ConnTimeout.InRange("conn_timeout"),
 			); err != nil {
 				return nil, err
 			}

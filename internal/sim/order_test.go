@@ -130,9 +130,17 @@ func runRandomWorkload(t *testing.T, seed int64) int {
 	e := New(seed)
 	o := newKeyOracle(t, seed)
 	rng := rand.New(rand.NewSource(seed))
-	procs := make([]*Proc, 8)
+	// Owners and sequences sit at both ends of their packed fields, and
+	// some sequences cross the top bit of theirs mid-run, so a carry or
+	// borrow lost between the key words shows up as a misordering. A run
+	// schedules far fewer than 20000 events.
+	ids := []uint64{1, 2, 1 << 19, ownerMax - 1, ownerMax - 2, 3, 1<<19 + 1, ownerMax - 3}
+	seqs := []uint64{0, seqMax - 20000, 1<<43 - 50, seqMax - 20000, 0, 1<<43 - 50, 0, seqMax - 20000}
+	procs := make([]*Proc, len(ids))
 	for i := range procs {
-		procs[i] = NewProc(e, uint64(i+1))
+		procs[i] = NewProc(e, ids[i])
+		procs[i].seq = seqs[i]
+		o.seq[ids[i]] = seqs[i]
 	}
 	type armed struct {
 		tm  *Timer

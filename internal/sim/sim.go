@@ -23,21 +23,25 @@
 // in internal/netsim builds on.
 //
 // Representation (DESIGN.md §11): events live in a generation-guarded
-// arena and the pending queue is a binary heap of pointer-free 32-byte
-// entries carrying the full ordering key inline. Comparisons during heap
-// maintenance touch only the contiguous entry slice — no pointer chasing,
-// no interface dispatch, no GC write barriers on sift swaps — and
-// cancellation is a generation bump, with stale entries skipped lazily
-// when the queue reaches them. Run, RunUntil and RunWindowKey share one
-// event loop: pop the heap head while its key sorts below the caller's
-// bound, skip it if stale, execute it. The heap is the only place a
-// pending event lives, so that loop's order is the (time, owner, oseq)
-// order by construction.
+// arena and the pending queue is a binary heap of pointer-free 24-byte
+// entries carrying the full ordering key inline, packed into two words
+// (time; owner<<44 | oseq) so one comparison is a branch-free 128-bit
+// subtraction. Heap maintenance touches only the contiguous entry slice —
+// no pointer chasing, no interface dispatch, no GC write barriers on sift
+// moves — and cancellation is a generation bump, with stale entries
+// skipped lazily when the queue reaches them. Packing bounds the key:
+// owner ids stay below 2^20-1 and each owner issues fewer than 2^44-1
+// sequence numbers, and the entry points panic outside those limits.
+// Run, RunUntil and RunWindowKey share one event loop: pop the heap head
+// while its key sorts below the caller's bound, skip it if stale, execute
+// it. The heap is the only place a pending event lives, so that loop's
+// order is the (time, owner, oseq) order by construction.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -115,71 +119,117 @@ type event struct {
 	nextFree int32
 }
 
-// entry is one pending event in the queue: the full ordering key inline plus the generation-guarded arena
-// reference. Entries are 32 pointer-free bytes, so sift swaps are plain
-// memory moves with no GC write barrier and key comparisons stay inside
-// the contiguous slice.
+// entry is one pending event in the queue: the ordering key packed into
+// two words plus the generation-guarded arena reference. hi is the
+// timestamp (never negative, so its unsigned order is its signed order)
+// and lo is owner<<seqBits | oseq, so (time, owner, oseq) order is the
+// 128-bit unsigned order of (hi, lo). Entries are 24 pointer-free bytes:
+// sift moves are plain memory moves with no GC write barrier, and key
+// comparisons stay inside the contiguous slice.
 type entry struct {
-	at          time.Duration
-	owner, oseq uint64 // scheduling identity (owner 0 = the root driver) + per-owner seq
-	idx         int32
-	gen         uint32
+	hi, lo uint64
+	idx    int32
+	gen    uint32
+}
+
+// Key limits (DESIGN.md §11). Owners and per-owner sequences share the low
+// key word; each field's all-ones value is kept out of real keys so that a
+// saturated drain bound sorts after every real key at its timestamp.
+const (
+	seqBits  = 44
+	seqMax   = 1<<seqBits - 1      // reserved: owner's bound after every real oseq
+	ownerMax = 1<<(64-seqBits) - 1 // reserved: bound after every real owner
+)
+
+// packLo packs a real (owner, oseq) pair, panicking when either field is
+// out of range.
+func packLo(owner, oseq uint64) uint64 {
+	if owner >= ownerMax || oseq >= seqMax {
+		panic(fmt.Sprintf("sim: event key (owner %d, oseq %d) out of range", owner, oseq))
+	}
+	return owner<<seqBits | oseq
+}
+
+// boundLo packs a drain bound's (owner, oseq), saturating: an out-of-range
+// owner sorts after every real owner, an out-of-range oseq after every
+// real oseq of its owner.
+func boundLo(owner, oseq uint64) uint64 {
+	if owner >= ownerMax {
+		return math.MaxUint64
+	}
+	return owner<<seqBits | min(oseq, seqMax)
+}
+
+// lessBit is 1 when a's key sorts strictly before b's, else 0: the borrow
+// out of the 128-bit subtraction a - b, computed without a branch.
+//
+//fabric:hotpath
+func lessBit(a, b *entry) uint64 {
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	return borrow
 }
 
 // entryLess orders entries by (time, owner, owner-sequence).
-func entryLess(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	return a.oseq < b.oseq
-}
+//
+//fabric:hotpath
+func entryLess(a, b *entry) bool { return lessBit(a, b) != 0 }
 
 // eventHeap is a binary min-heap of entries with the comparison inlined —
 // no container/heap interface dispatch on the hot path.
 type eventHeap []entry
 
+// push moves a hole up from the new leaf and writes en once.
+//
 //fabric:hotpath
 func (h *eventHeap) push(en entry) {
 	q := append(*h, en)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !entryLess(&q[i], &q[p]) {
+		if !entryLess(&en, &q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = en
 	*h = q
 }
 
+// popMin is Floyd's bottom-up deletion: the hole left by the root walks
+// down to a leaf along the smaller child — one branch-free comparison per
+// level — and the last element then sifts up from there, which is short
+// because a last element usually belongs near the bottom.
+//
 //fabric:hotpath
 func (h *eventHeap) popMin() entry {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q = q[:n]
 	*h = q
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && entryLess(&q[r], &q[l]) {
-			m = r
-		}
-		if !entryLess(&q[m], &q[i]) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		if l+1 < n {
+			l += int(lessBit(&q[l+1], &q[l]))
+		}
+		q[i] = q[l]
+		i = l
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !entryLess(&last, &q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = last
 	return top
 }
 
@@ -203,10 +253,14 @@ type Proc struct {
 }
 
 // NewProc creates a scheduling identity with the given globally unique id
-// on engine e. Id 0 is reserved for the engine's own root identity.
+// on engine e. Id 0 is reserved for the engine's own root identity, and
+// ids must stay below 2^20-1 (the key limits, DESIGN.md §11).
 func NewProc(e *Engine, id uint64) *Proc {
 	if id == 0 {
 		panic("sim: Proc id 0 is reserved for the engine root")
+	}
+	if id >= ownerMax {
+		panic(fmt.Sprintf("sim: Proc id %d out of range (limit %d)", id, ownerMax-1))
 	}
 	return &Proc{eng: e, id: id}
 }
@@ -225,19 +279,29 @@ func (p *Proc) ID() uint64 { return p.id }
 // NextSeq consumes and returns the next per-owner sequence number. Normal
 // scheduling does this implicitly; the cross-shard transport uses it to
 // stamp an arrival's key on the sending side before shipping the event to
-// the destination shard.
+// the destination shard. It panics once the identity has used every
+// sequence number below 2^44-1 (the key limits, DESIGN.md §11).
 func (p *Proc) NextSeq() uint64 {
 	s := p.seq
+	if s >= seqMax {
+		panic("sim: Proc exhausted its 2^44-1 sequence numbers")
+	}
 	p.seq++
 	return s
 }
+
+// nextLo consumes the next sequence number and returns the identity's
+// packed low key word.
+//
+//fabric:hotpath
+func (p *Proc) nextLo() uint64 { return p.id<<seqBits | p.NextSeq() }
 
 // Now returns the bound engine's current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
 // At schedules fn at absolute virtual time t under this identity.
 func (p *Proc) At(t time.Duration, fn func()) *Timer {
-	return p.eng.at(t, p.id, p.NextSeq(), fn)
+	return p.eng.at(t, p.nextLo(), fn)
 }
 
 // After schedules fn d after the bound engine's current time.
@@ -254,7 +318,7 @@ func (p *Proc) Schedule(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	p.eng.scheduleFunc(t, p.id, p.NextSeq(), fn)
+	p.eng.scheduleFunc(t, p.nextLo(), fn)
 }
 
 // ScheduleRunner enqueues r.RunEvent(arg) at absolute time t under this
@@ -265,7 +329,7 @@ func (p *Proc) ScheduleRunner(t time.Duration, r Runner, arg int32) {
 	if r == nil {
 		panic("sim: nil event runner")
 	}
-	p.eng.scheduleRunner(t, p.id, p.NextSeq(), r, arg)
+	p.eng.scheduleRunner(t, p.nextLo(), r, arg)
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -289,8 +353,8 @@ type Engine struct {
 	// Key of the event currently executing — the causal stamp the tap
 	// buffering layer records so per-shard tap streams can be merged into
 	// the one deterministic total order.
-	curAt            time.Duration
-	curOwner, curSeq uint64
+	curAt time.Duration
+	curLo uint64
 }
 
 // New returns an Engine whose random source is seeded with seed. Two engines
@@ -384,8 +448,9 @@ func (e *Engine) release(idx int32) {
 	e.freeHead = idx
 }
 
-// at is the common keyed scheduling path behind Proc.At and Engine.At.
-func (e *Engine) at(t time.Duration, owner, oseq uint64, fn func()) *Timer {
+// at is the common keyed scheduling path behind Proc.At and Engine.At; lo
+// is the packed (owner, oseq) key word.
+func (e *Engine) at(t time.Duration, lo uint64, fn func()) *Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -395,27 +460,27 @@ func (e *Engine) at(t time.Duration, owner, oseq uint64, fn func()) *Timer {
 	idx := e.alloc()
 	a := &e.arena[idx]
 	a.fn = fn
-	e.queue.push(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.queue.push(entry{hi: uint64(t), lo: lo, idx: idx, gen: a.gen})
 	return &Timer{eng: e, at: t, idx: idx + 1, gen: a.gen}
 }
 
 // scheduleFunc enqueues a non-cancellable closure event under the given
 // key. No Timer handle exists, so the arena slot recycles the moment it
 // fires.
-func (e *Engine) scheduleFunc(t time.Duration, owner, oseq uint64, fn func()) {
+func (e *Engine) scheduleFunc(t time.Duration, lo uint64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	idx := e.alloc()
 	a := &e.arena[idx]
 	a.fn = fn
-	e.queue.push(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.queue.push(entry{hi: uint64(t), lo: lo, idx: idx, gen: a.gen})
 }
 
 // scheduleRunner is scheduleFunc for Runner events: fully allocation-free.
 //
 //fabric:hotpath
-func (e *Engine) scheduleRunner(t time.Duration, owner, oseq uint64, r Runner, arg int32) {
+func (e *Engine) scheduleRunner(t time.Duration, lo uint64, r Runner, arg int32) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -423,7 +488,7 @@ func (e *Engine) scheduleRunner(t time.Duration, owner, oseq uint64, r Runner, a
 	a := &e.arena[idx]
 	a.runner = r
 	a.rarg = arg
-	e.queue.push(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.queue.push(entry{hi: uint64(t), lo: lo, idx: idx, gen: a.gen})
 }
 
 // Schedule runs fn at absolute virtual time t like At, but returns no
@@ -451,12 +516,13 @@ func (e *Engine) ScheduleRunner(t time.Duration, r Runner, arg int32) {
 // (owner, seq) before shipping it, and the coordinator inserts it here
 // between windows — the key, not the insertion moment, decides where the
 // event sorts, so the destination shard's execution order is independent
-// of exchange timing.
+// of exchange timing. The key must be one a Proc could have issued: it
+// panics on an owner of 2^20-1 or more or an oseq of 2^44-1 or more.
 func (e *Engine) ScheduleKeyed(t time.Duration, owner, oseq uint64, r Runner, arg int32) {
 	if r == nil {
 		panic("sim: nil event runner")
 	}
-	e.scheduleRunner(t, owner, oseq, r, arg)
+	e.scheduleRunner(t, packLo(owner, oseq), r, arg)
 }
 
 // ScheduleKeyedFunc enqueues fn at absolute time t with an explicit,
@@ -464,12 +530,13 @@ func (e *Engine) ScheduleKeyed(t time.Duration, owner, oseq uint64, r Runner, ar
 // uses it to give fault-injection events an entity's partition-independent
 // identity while choosing the executing engine separately: the same key
 // lands on a shard engine when the fault is shard-local and on the control
-// engine (a coordinator barrier) when it spans shards.
+// engine (a coordinator barrier) when it spans shards. Its key range
+// panics match ScheduleKeyed's.
 func (e *Engine) ScheduleKeyedFunc(t time.Duration, owner, oseq uint64, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.scheduleFunc(t, owner, oseq, fn)
+	e.scheduleFunc(t, packLo(owner, oseq), fn)
 }
 
 // After schedules fn to run d after the current virtual time under the
@@ -484,8 +551,8 @@ func (e *Engine) After(d time.Duration, fn func()) *Timer {
 //
 //fabric:hotpath
 func (e *Engine) execute(en *entry, a *event) {
-	e.now = en.at
-	e.curAt, e.curOwner, e.curSeq = en.at, en.owner, en.oseq
+	e.now = time.Duration(en.hi)
+	e.curAt, e.curLo = e.now, en.lo
 	e.processed++
 	if r := a.runner; r != nil {
 		arg := a.rarg
@@ -541,7 +608,7 @@ func (e *Engine) drain(bound entry, stopAt uint64) int {
 }
 
 // maxBound is the exclusive drain bound above every real key.
-var maxBound = entry{at: math.MaxInt64, owner: math.MaxUint64, oseq: math.MaxUint64}
+var maxBound = entry{hi: math.MaxInt64, lo: math.MaxUint64}
 
 // Run executes events until the queue drains. It panics if the event limit
 // is exceeded, which in practice means a protocol is generating events
@@ -558,8 +625,8 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 	// Inclusive of events at exactly t: the exclusive bound is the first
 	// key of t+1 (saturating at the horizon).
-	bound := entry{at: t + 1}
-	if t == maxBound.at {
+	bound := entry{hi: uint64(t + 1)}
+	if t == math.MaxInt64 {
 		bound = maxBound
 	}
 	e.drain(bound, e.processed+e.limit)
@@ -578,7 +645,7 @@ func (e *Engine) peek() (time.Duration, bool) {
 			e.queue.popMin()
 			continue
 		}
-		return h.at, true
+		return time.Duration(h.hi), true
 	}
 	return 0, false
 }
@@ -591,14 +658,14 @@ func (e *Engine) NextKey() (at time.Duration, owner, oseq uint64, ok bool) {
 		return 0, 0, 0, false
 	}
 	h := &e.queue[0]
-	return h.at, h.owner, h.oseq, true
+	return time.Duration(h.hi), h.lo >> seqBits, h.lo & seqMax, true
 }
 
 // CurKey returns the ordering key of the event currently (or most
 // recently) executing. The netsim tap layer records it with every buffered
 // tap event so per-shard streams merge into the deterministic total order.
 func (e *Engine) CurKey() (at time.Duration, owner, oseq uint64) {
-	return e.curAt, e.curOwner, e.curSeq
+	return e.curAt, e.curLo >> seqBits, e.curLo & seqMax
 }
 
 // RunWindowKey executes every event whose full ordering key sorts
@@ -612,9 +679,14 @@ func (e *Engine) CurKey() (at time.Duration, owner, oseq uint64) {
 // run would have executed them. Unlike RunUntil it does not advance the
 // clock to the bound. The event-limit backstop for sharded runs lives in
 // the coordinator (it spans all shards of one run), so the per-engine
-// check is disarmed here.
+// check is disarmed here. The bound saturates: an owner of 2^20-1 or
+// more sorts after every real owner at its timestamp, an oseq of 2^44-1
+// or more after every real oseq of its owner.
 func (e *Engine) RunWindowKey(at time.Duration, owner, oseq uint64) int {
-	return e.drain(entry{at: at, owner: owner, oseq: oseq}, math.MaxUint64)
+	if at < 0 {
+		return 0 // every key sorts at or after time zero
+	}
+	return e.drain(entry{hi: uint64(at), lo: boundLo(owner, oseq)}, math.MaxUint64)
 }
 
 // SetNow advances the clock to exactly t without running anything. It

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -355,5 +356,34 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})
 		e.Step()
+	}
+}
+
+// cbrRunner is one synchronized constant-bit-rate source: a no-op event
+// that reschedules itself one period later under its own identity.
+type cbrRunner struct{ p *Proc }
+
+const cbrPeriod = time.Microsecond
+
+func (r *cbrRunner) RunEvent(int32) { r.p.ScheduleRunner(r.p.Now()+cbrPeriod, r, 0) }
+
+// BenchmarkEngineQueue measures one pop and one push at a steady queue
+// depth with the tie-heavy keys of synchronized CBR traffic: every source
+// is its own owner, and the sources fall into eight phases, so depth/8
+// events share each timestamp and order by owner.
+func BenchmarkEngineQueue(b *testing.B) {
+	for _, depth := range []int{380, 1600} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := New(1)
+			for i := 0; i < depth; i++ {
+				r := &cbrRunner{p: NewProc(e, uint64(i+1))}
+				r.p.ScheduleRunner(time.Duration(i%8)*time.Nanosecond, r, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

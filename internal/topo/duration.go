@@ -15,13 +15,23 @@ type Duration time.Duration
 // D converts back to the standard library type.
 func (d Duration) D() time.Duration { return time.Duration(d) }
 
-// NonNegative rejects a negative duration, naming the config field it
-// came from; zero stays legal and means "use the default". Protocol
-// config decoders run every duration field through it, so a negative
-// timer is a decode error instead of a panic deep inside a run.
-func (d Duration) NonNegative(field string) error {
+// MaxDuration is the longest duration a config or spec field may carry:
+// 1000 hours of virtual time, far beyond any experiment, yet small enough
+// that sums of a few such fields (a warm-up derived from several timers,
+// a warm-up plus a workload) never overflow time.Duration.
+const MaxDuration = Duration(1000 * time.Hour)
+
+// InRange rejects a duration outside [0, MaxDuration], naming the config
+// field it came from; zero stays legal and means "use the default". Spec
+// and protocol config decoders run every duration field through it, so a
+// negative or overflowing timer is a decode error instead of a panic deep
+// inside a run.
+func (d Duration) InRange(field string) error {
 	if d < 0 {
 		return fmt.Errorf("%s: negative duration %v (omit the field or use 0 for the default)", field, time.Duration(d))
+	}
+	if d > MaxDuration {
+		return fmt.Errorf("%s: duration %v exceeds the maximum %v", field, time.Duration(d), MaxDuration)
 	}
 	return nil
 }

@@ -151,10 +151,10 @@ func init() {
 				}
 			}
 			if err := errors.Join(
-				j.LockTimeout.NonNegative("lock_timeout"),
-				j.LearnedTimeout.NonNegative("learned_timeout"),
-				j.RepairTimeout.NonNegative("repair_timeout"),
-				j.ProxyTimeout.NonNegative("proxy_timeout"),
+				j.LockTimeout.InRange("lock_timeout"),
+				j.LearnedTimeout.InRange("learned_timeout"),
+				j.RepairTimeout.InRange("repair_timeout"),
+				j.ProxyTimeout.InRange("proxy_timeout"),
 			); err != nil {
 				return nil, err
 			}
@@ -212,11 +212,11 @@ func init() {
 				}
 			}
 			if err := errors.Join(
-				j.Hello.NonNegative("hello"),
-				j.MaxAge.NonNegative("max_age"),
-				j.ForwardDelay.NonNegative("forward_delay"),
-				j.MsgAgeIncrement.NonNegative("msg_age_increment"),
-				j.Aging.NonNegative("aging"),
+				j.Hello.InRange("hello"),
+				j.MaxAge.InRange("max_age"),
+				j.ForwardDelay.InRange("forward_delay"),
+				j.MsgAgeIncrement.InRange("msg_age_increment"),
+				j.Aging.InRange("aging"),
 			); err != nil {
 				return nil, err
 			}
@@ -258,7 +258,7 @@ func init() {
 					return nil, err
 				}
 			}
-			if err := j.Aging.NonNegative("aging"); err != nil {
+			if err := j.Aging.InRange("aging"); err != nil {
 				return nil, err
 			}
 			if _, err := tables.ParseConfig(j.TableCapacity, j.TablePolicy); err != nil {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -21,7 +22,9 @@ const SpecVersion = 1
 // which protocol bridges it, what workload to drive and what to verify.
 // Every field has an explicit default (WithDefaults); decoding is strict
 // (unknown fields are rejected, so a typo fails loudly instead of
-// silently running the default experiment).
+// silently running the default experiment). Every duration, in the Spec
+// and in protocol config extensions, must lie in [0, 1000h]
+// (topo.MaxDuration); WithDefaults names the field that does not.
 type Spec struct {
 	// Version is the schema version (SpecVersion when omitted).
 	Version int `json:"version,omitempty"`
@@ -257,6 +260,9 @@ func (s Spec) WithDefaults() (Spec, error) {
 	if s.Version != SpecVersion {
 		return Spec{}, fmt.Errorf("spec: unsupported version %d", s.Version)
 	}
+	if err := s.checkDurations(); err != nil {
+		return Spec{}, fmt.Errorf("spec: %w", err)
+	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
@@ -329,6 +335,21 @@ func (s Spec) WithDefaults() (Spec, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkDurations runs every Spec-level duration through the range check
+// the protocol config decoders apply (topo.MaxDuration), naming the field.
+func (s Spec) checkDurations() error {
+	errs := []error{
+		s.WarmUp.InRange("warm_up"),
+		s.Link.Delay.InRange("link.delay"),
+		s.Workload.Interval.InRange("workload.interval"),
+		s.Workload.Arrival.InRange("workload.arrival"),
+	}
+	if sc := s.Scenario; sc != nil {
+		errs = append(errs, sc.FaultPhase.InRange("scenario.fault_phase"), sc.Quiesce.InRange("scenario.quiesce"))
+	}
+	return errors.Join(errs...)
 }
 
 func decodeProtocolConfig(def topo.Definition, raw json.RawMessage) (any, error) {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -137,27 +138,75 @@ func negativeDurationDoc(protocol, config string) []byte {
 	return []byte(`{"protocol":{"name":"` + protocol + `","config":` + config + `}}`)
 }
 
-// TestSpecRejectsNegativeDurations: every protocol decoder rejects a
-// negative timer with an error naming the field, while zero still means
-// "use the default".
-func TestSpecRejectsNegativeDurations(t *testing.T) {
+// badDurationSpec is one whole spec document with one duration out of
+// [0, topo.MaxDuration], the field its error must name, and the same
+// document with that field at zero (the default), which must decode.
+type badDurationSpec struct{ name, doc, zero, field string }
+
+// badDurationSpecs: the negative protocol timers above, protocol timers
+// past the maximum — STP's 1500000h forward delay used to wrap its
+// derived warm-up negative inside the builder — and the Spec's own
+// durations, where a negative warm_up panicked in RunUntil and a warm_up
+// near the int64 limit overflowed once the workload started.
+func badDurationSpecs() []badDurationSpec {
+	var out []badDurationSpec
 	for _, c := range negativeDurationSpecs {
-		t.Run(c.protocol+"/"+c.field, func(t *testing.T) {
-			s, err := DecodeSpec(negativeDurationDoc(c.protocol, c.config))
+		out = append(out, badDurationSpec{c.protocol + "/" + c.field,
+			string(negativeDurationDoc(c.protocol, c.config)),
+			string(negativeDurationDoc(c.protocol, `{"`+c.field+`":"0s"}`)), c.field})
+	}
+	for _, c := range []struct{ protocol, field string }{
+		{"stp", "forward_delay"}, {"stp", "hello"}, {"arppath", "lock_timeout"},
+		{"flowpath", "pair_timeout"}, {"tcppath", "conn_timeout"}, {"learning", "aging"},
+	} {
+		out = append(out, badDurationSpec{c.protocol + "/" + c.field + "/over_max",
+			string(negativeDurationDoc(c.protocol, `{"`+c.field+`":"1500000h"}`)),
+			string(negativeDurationDoc(c.protocol, `{"`+c.field+`":"0s"}`)), c.field})
+	}
+	for _, c := range []struct{ name, field, wrap, value string }{
+		{"spec/warm_up", "warm_up", `{%s}`, `"-1s"`},
+		{"spec/warm_up/over_max", "warm_up", `{%s}`, `"2562047h47m16s"`},
+		{"spec/link.delay", "link.delay", `{"link":{%s}}`, `"-1ms"`},
+		{"spec/workload.interval", "workload.interval", `{"workload":{"kind":"ping",%s}}`, `"-1s"`},
+		{"spec/workload.arrival", "workload.arrival", `{"workload":{"kind":"matrix",%s}}`, `"1001h"`},
+		{"spec/scenario.fault_phase", "scenario.fault_phase", `{"workload":{"kind":"sweep"},"scenario":{%s}}`, `-1`},
+		{"spec/scenario.quiesce", "scenario.quiesce", `{"workload":{"kind":"sweep"},"scenario":{%s}}`, `"1001h"`},
+	} {
+		key := `"` + c.field[strings.LastIndex(c.field, ".")+1:] + `":`
+		out = append(out, badDurationSpec{c.name,
+			fmt.Sprintf(c.wrap, key+c.value), fmt.Sprintf(c.wrap, key+`"0s"`), c.field})
+	}
+	return out
+}
+
+// TestSpecRejectsNegativeDurations: every protocol decoder and the Spec
+// itself reject a duration outside [0, topo.MaxDuration] with an error
+// naming the field, while zero still means "use the default" and the
+// maximum itself is legal.
+func TestSpecRejectsNegativeDurations(t *testing.T) {
+	for _, c := range badDurationSpecs() {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := DecodeSpec([]byte(c.doc))
 			if err != nil {
 				t.Fatalf("outer decode failed: %v", err)
 			}
 			_, err = s.WithDefaults()
 			if err == nil || !strings.Contains(err.Error(), c.field) {
-				t.Fatalf("negative %s accepted or unnamed: %v", c.field, err)
+				t.Fatalf("%s accepted or unnamed: %v", c.doc, err)
 			}
-			zero := `{"` + c.field + `":"0s"}`
-			s, err = DecodeSpec(negativeDurationDoc(c.protocol, zero))
+			s, err = DecodeSpec([]byte(c.zero))
 			if err != nil {
-				t.Fatalf("outer decode of %s failed: %v", zero, err)
+				t.Fatalf("outer decode of %s failed: %v", c.zero, err)
 			}
 			if _, err := s.WithDefaults(); err != nil {
 				t.Fatalf("zero %s (the default) rejected: %v", c.field, err)
+			}
+			atMax := strings.Replace(c.zero, `"0s"`, `"`+topo.MaxDuration.String()+`"`, 1)
+			if s, err = DecodeSpec([]byte(atMax)); err != nil {
+				t.Fatalf("outer decode of %s failed: %v", atMax, err)
+			}
+			if _, err := s.WithDefaults(); err != nil {
+				t.Fatalf("%s at the maximum rejected: %v", c.field, err)
 			}
 		})
 	}
@@ -217,8 +266,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{}`))
-	for _, c := range negativeDurationSpecs {
-		f.Add(negativeDurationDoc(c.protocol, c.config))
+	for _, c := range badDurationSpecs() {
+		f.Add([]byte(c.doc))
 	}
 	f.Add([]byte(`{"workload":{"kind":"sweep"},"scenario":{"faults":["all"]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
